@@ -10,6 +10,7 @@
 #include "fi/shard.h"
 #include "ml/feature_selection.h"
 #include "net/coordinator.h"
+#include "util/csv.h"
 #include "util/timer.h"
 
 namespace ssresf::core {
@@ -51,18 +52,17 @@ void check_record_format(int record_format) {
 
 void write_predictions_csv(const std::string& path, const soc::SocModel& model,
                            const SessionPrediction& prediction) {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) throw Error("cannot open '" + path + "' for writing");
-  std::fputs("cell,path,module_class,prediction\n", f);
-  for (std::size_t i = 0; i < prediction.cells.size(); ++i) {
-    const CellId id = prediction.cells[i];
-    std::fprintf(
-        f, "%u,%s,%s,%d\n", id.index(), model.netlist.cell_path(id).c_str(),
-        std::string(netlist::module_class_name(model.netlist.cell_class(id)))
-            .c_str(),
-        prediction.labels[i]);
-  }
-  std::fclose(f);
+  util::write_csv_file(path, [&](std::FILE* f) {
+    std::fputs("cell,path,module_class,prediction\n", f);
+    for (std::size_t i = 0; i < prediction.cells.size(); ++i) {
+      const CellId id = prediction.cells[i];
+      std::fprintf(
+          f, "%u,%s,%s,%d\n", id.index(), model.netlist.cell_path(id).c_str(),
+          std::string(netlist::module_class_name(model.netlist.cell_class(id)))
+              .c_str(),
+          prediction.labels[i]);
+    }
+  });
 }
 
 Session::Session(ScenarioSpec spec, const radiation::SoftErrorDatabase& database,
@@ -152,6 +152,10 @@ fi::CampaignResult Session::simulate_served() {
   copts.frame_deadline_seconds = spec_.fleet.frame_deadline;
   copts.secret = spec_.fleet.secret;
   copts.journal_path = options_.serve_journal;
+  // A session that reports progress also logs the fleet's events (workers
+  // ready, chunks reassigned, journal resumed) — what `ssresf serve
+  // --progress` shows and the CI chaos jobs grep for.
+  copts.verbose = static_cast<bool>(options_.progress);
   net::Coordinator coordinator(spec_.campaign, db_, copts);
   note("simulate", "serving campaign on port " +
                        std::to_string(coordinator.port()));
@@ -195,16 +199,9 @@ void Session::persist_records() {
   }
   fi::ShardFileMeta meta;
   meta.seed = spec_.campaign.config.seed;
-  meta.shard_index = 0;
-  meta.shard_count = 1;
   meta.total_injections = records.size();
   meta.config_digest = digest_;
-  meta.num_records = records.size();
-  if (options_.record_format == 2) {
-    fi::write_columnar_file(records_path(), meta, records);
-  } else {
-    fi::write_shard_file(records_path(), meta, records);
-  }
+  fi::write_records_file(records_path(), meta, records, options_.record_format);
   note("simulate", "saved campaign records to " + records_path());
 }
 

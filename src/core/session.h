@@ -60,7 +60,7 @@ struct SessionOptions {
   // --- simulate-stage delegation (socket transport) -------------------------
   /// >= 0: simulate() does no local injection work — it serves the scenario's
   /// campaign on this TCP port (0 = ephemeral) and collects records from
-  /// --connect workers, exactly like `ssresf_campaign --serve`. Requires a
+  /// `ssresf worker` processes, as `ssresf serve` does. Requires a
   /// scenario-built model (the workers rebuild it from the spec and
   /// digest-check it).
   int serve_port = -1;

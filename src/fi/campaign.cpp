@@ -14,6 +14,7 @@
 #include "fi/record_store.h"
 #include "netlist/stats.h"
 #include "sim/bit_parallel_sim.h"
+#include "util/csv.h"
 #include "util/error.h"
 #include "util/logging.h"
 #include "util/thread_pool.h"
@@ -29,24 +30,24 @@ using radiation::FaultKind;
 
 void write_records_csv(const std::string& path,
                        const std::vector<InjectionRecord>& records) {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) throw Error("cannot open '" + path + "' for writing");
-  std::fputs(
-      "index,kind,cell,word,bit,time_ps,set_width_ps,cluster,module_class,"
-      "soft_error,first_mismatch_cycle\n",
-      f);
-  for (std::size_t i = 0; i < records.size(); ++i) {
-    const InjectionRecord& r = records[i];
-    const auto& e = r.event;
-    std::fprintf(
-        f, "%zu,%s,%u,%u,%u,%llu,%u,%d,%s,%d,%zu\n", i,
-        std::string(radiation::fault_kind_name(e.target.kind)).c_str(),
-        e.target.cell.index(), e.target.word, e.target.bit,
-        static_cast<unsigned long long>(e.time_ps), e.set_width_ps, r.cluster,
-        std::string(netlist::module_class_name(r.module_class)).c_str(),
-        r.soft_error ? 1 : 0, r.first_mismatch_cycle);
-  }
-  std::fclose(f);
+  util::write_csv_file(path, [&](std::FILE* f) {
+    std::fputs(
+        "index,kind,cell,word,bit,time_ps,set_width_ps,cluster,module_class,"
+        "soft_error,first_mismatch_cycle\n",
+        f);
+    for (std::size_t i = 0; i < records.size(); ++i) {
+      const InjectionRecord& r = records[i];
+      const auto& e = r.event;
+      std::fprintf(
+          f, "%zu,%s,%u,%u,%u,%llu,%u,%d,%s,%d,%zu\n", i,
+          std::string(radiation::fault_kind_name(e.target.kind)).c_str(),
+          e.target.cell.index(), e.target.word, e.target.bit,
+          static_cast<unsigned long long>(e.time_ps), e.set_width_ps,
+          r.cluster,
+          std::string(netlist::module_class_name(r.module_class)).c_str(),
+          r.soft_error ? 1 : 0, r.first_mismatch_cycle);
+    }
+  });
 }
 
 double chip_ser_percent(const std::vector<ClusterStats>& clusters) {

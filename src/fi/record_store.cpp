@@ -8,6 +8,7 @@
 
 #include "fi/campaign_exec.h"
 #include "util/bytes.h"
+#include "util/csv.h"
 #include "util/error.h"
 #include "util/timer.h"
 
@@ -959,31 +960,30 @@ CampaignStats merge_record_files(const soc::SocModel& model,
 // --- Streaming CSV / whole-vector v2 writer ---------------------------------
 
 void write_records_csv(const std::string& path, RecordSource& source) {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) throw Error("cannot open '" + path + "' for writing");
-  std::fputs(
-      "index,kind,cell,word,bit,time_ps,set_width_ps,cluster,module_class,"
-      "soft_error,first_mismatch_cycle\n",
-      f);
-  RecordBatch batch;
-  while (source.next_batch(batch)) {
-    for (std::size_t i = 0; i < batch.row_count(); ++i) {
-      const ShardRecord r = batch.row(i);
-      const radiation::FaultEvent& e = r.record.event;
-      std::fprintf(
-          f, "%llu,%s,%u,%u,%u,%llu,%u,%d,%s,%d,%llu\n",
-          static_cast<unsigned long long>(r.index),
-          std::string(radiation::fault_kind_name(e.target.kind)).c_str(),
-          e.target.cell.index(), e.target.word, e.target.bit,
-          static_cast<unsigned long long>(e.time_ps), e.set_width_ps,
-          r.record.cluster,
-          std::string(netlist::module_class_name(r.record.module_class))
-              .c_str(),
-          r.record.soft_error ? 1 : 0,
-          static_cast<unsigned long long>(r.record.first_mismatch_cycle));
+  util::write_csv_file(path, [&](std::FILE* f) {
+    std::fputs(
+        "index,kind,cell,word,bit,time_ps,set_width_ps,cluster,module_class,"
+        "soft_error,first_mismatch_cycle\n",
+        f);
+    RecordBatch batch;
+    while (source.next_batch(batch)) {
+      for (std::size_t i = 0; i < batch.row_count(); ++i) {
+        const ShardRecord r = batch.row(i);
+        const radiation::FaultEvent& e = r.record.event;
+        std::fprintf(
+            f, "%llu,%s,%u,%u,%u,%llu,%u,%d,%s,%d,%llu\n",
+            static_cast<unsigned long long>(r.index),
+            std::string(radiation::fault_kind_name(e.target.kind)).c_str(),
+            e.target.cell.index(), e.target.word, e.target.bit,
+            static_cast<unsigned long long>(e.time_ps), e.set_width_ps,
+            r.record.cluster,
+            std::string(netlist::module_class_name(r.record.module_class))
+                .c_str(),
+            r.record.soft_error ? 1 : 0,
+            static_cast<unsigned long long>(r.record.first_mismatch_cycle));
+      }
     }
-  }
-  std::fclose(f);
+  });
 }
 
 void write_columnar_file(const std::string& path, const ShardFileMeta& meta,
@@ -1008,6 +1008,20 @@ void write_columnar_file(const std::string& path, const ShardFileMeta& meta,
     writer.append(batch);
   }
   writer.flush();
+}
+
+void write_records_file(const std::string& path, ShardFileMeta meta,
+                        std::span<const ShardRecord> records,
+                        int record_format) {
+  meta.num_records = records.size();
+  if (record_format == 2) {
+    write_columnar_file(path, meta, records);
+  } else if (record_format == 1) {
+    write_shard_file(path, meta, records);
+  } else {
+    throw InvalidArgument("record format must be 1 or 2, got " +
+                          std::to_string(record_format));
+  }
 }
 
 }  // namespace ssresf::fi

@@ -402,4 +402,12 @@ void write_columnar_file(const std::string& path, const ShardFileMeta& meta,
                          std::size_t chunk_rows =
                              ColumnarFileWriter::kDefaultChunkRows);
 
+/// Writes a whole-vector record file in either `.ssfs` codec — 1 = the flat
+/// v1 layout (write_shard_file), 2 = chunked columnar v2 — with
+/// `meta.num_records` set from `records`. The one place a records artifact
+/// or shard file picks its codec.
+void write_records_file(const std::string& path, ShardFileMeta meta,
+                        std::span<const ShardRecord> records,
+                        int record_format);
+
 }  // namespace ssresf::fi

@@ -4,7 +4,7 @@
 #include <cstdio>
 
 #include "netlist/netlist.h"
-#include "util/error.h"
+#include "util/csv.h"
 
 namespace ssresf::fi {
 
@@ -54,36 +54,35 @@ void write_sensitivity_csv(
     const std::string& path, std::span<const ClusterStats> clusters,
     const std::array<ClassStats, netlist::kModuleClassCount>& per_class,
     double chip_ser_percent) {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) throw Error("cannot open '" + path + "' for writing");
-  std::fputs(
-      "section,id,num_cells,samples,errors,propagation_ratio,xsect_cm2,"
-      "ser_percent\n",
-      f);
-  for (const ClusterStats& c : clusters) {
-    std::fprintf(f, "cluster,%d,%llu,%llu,%llu,%.17g,%.17g,%.17g\n", c.cluster,
-                 static_cast<unsigned long long>(c.num_cells),
-                 static_cast<unsigned long long>(c.samples),
-                 static_cast<unsigned long long>(c.errors),
-                 c.propagation_ratio, c.xsect_cm2, c.ser_percent);
-  }
-  for (std::size_t k = 0; k < per_class.size(); ++k) {
-    const ClassStats& cls = per_class[k];
-    const double ratio =
-        cls.samples > 0 ? static_cast<double>(cls.errors) /
-                              static_cast<double>(cls.samples)
-                        : 0.0;
-    std::fprintf(
-        f, "class,%s,,%llu,%llu,%.17g,%.17g,%.17g\n",
-        std::string(netlist::module_class_name(
-                        static_cast<netlist::ModuleClass>(k)))
-            .c_str(),
-        static_cast<unsigned long long>(cls.samples),
-        static_cast<unsigned long long>(cls.errors), ratio, cls.xsect_cm2,
-        cls.ser_percent);
-  }
-  std::fprintf(f, "chip,,,,,,,%.17g\n", chip_ser_percent);
-  std::fclose(f);
+  util::write_csv_file(path, [&](std::FILE* f) {
+    std::fputs(
+        "section,id,num_cells,samples,errors,propagation_ratio,xsect_cm2,"
+        "ser_percent\n",
+        f);
+    for (const ClusterStats& c : clusters) {
+      std::fprintf(f, "cluster,%d,%llu,%llu,%llu,%.17g,%.17g,%.17g\n",
+                   c.cluster, static_cast<unsigned long long>(c.num_cells),
+                   static_cast<unsigned long long>(c.samples),
+                   static_cast<unsigned long long>(c.errors),
+                   c.propagation_ratio, c.xsect_cm2, c.ser_percent);
+    }
+    for (std::size_t k = 0; k < per_class.size(); ++k) {
+      const ClassStats& cls = per_class[k];
+      const double ratio =
+          cls.samples > 0 ? static_cast<double>(cls.errors) /
+                                static_cast<double>(cls.samples)
+                          : 0.0;
+      std::fprintf(
+          f, "class,%s,,%llu,%llu,%.17g,%.17g,%.17g\n",
+          std::string(netlist::module_class_name(
+                          static_cast<netlist::ModuleClass>(k)))
+              .c_str(),
+          static_cast<unsigned long long>(cls.samples),
+          static_cast<unsigned long long>(cls.errors), ratio, cls.xsect_cm2,
+          cls.ser_percent);
+    }
+    std::fprintf(f, "chip,,,,,,,%.17g\n", chip_ser_percent);
+  });
 }
 
 void write_sensitivity_csv(const std::string& path,

@@ -1,8 +1,27 @@
 #include "util/csv.h"
 
-#include <cstdio>
+#include <cerrno>
+#include <cstring>
+
+#include "util/error.h"
 
 namespace ssresf::util {
+
+void write_csv_file(const std::string& path,
+                    const std::function<void(std::FILE*)>& write_rows) {
+  std::FILE* f = std::fopen(path.c_str(), "w");
+  if (f == nullptr) throw Error("cannot open '" + path + "' for writing");
+  try {
+    write_rows(f);
+  } catch (...) {
+    std::fclose(f);
+    throw;
+  }
+  const bool write_failed = std::ferror(f) != 0;
+  if (std::fclose(f) != 0 || write_failed) {
+    throw Error("cannot write '" + path + "': " + std::strerror(errno));
+  }
+}
 
 void CsvWriter::row(const std::vector<std::string>& fields) {
   for (std::size_t i = 0; i < fields.size(); ++i) {

@@ -6,10 +6,9 @@
 namespace ssresf::util {
 
 /// Minimal POSIX subprocess wrapper: spawn an argv vector, wait for exit.
-/// This is the process-level analogue of ThreadPool — the distributed
-/// campaign coordinator uses it to fan shards out to worker processes (one
-/// `ssresf_campaign --shard k/N` child per shard) and join them before
-/// merging their shard files.
+/// This is the process-level analogue of ThreadPool — `ssresf --workers N`
+/// uses it to spawn its local `ssresf worker` fleet and reap it once the
+/// campaign is done.
 class Subprocess {
  public:
   Subprocess() = default;

@@ -2,8 +2,9 @@
 // truncation rejection via the payload digest), campaign spec codec, golden
 // bundle shipping (workers skip all golden simulation without changing a
 // record), and the coordinator/worker loop — loopback equivalence for
-// several worker counts and byte-identical results under mid-campaign
-// worker defection (the deterministic stand-in for a killed worker).
+// several worker counts, byte-identical results under mid-campaign worker
+// defection (the deterministic stand-in for a killed worker), and the
+// streaming run into a columnar record file.
 #include <gtest/gtest.h>
 
 #include <bit>
@@ -12,6 +13,7 @@
 
 #include "fi/campaign_exec.h"
 #include "fi/golden_bundle.h"
+#include "fi/record_store.h"
 #include "fi/shard.h"
 #include "net/auth.h"
 #include "net/coordinator.h"
@@ -338,19 +340,10 @@ TEST(GoldenBundle, FileIsDigestBound) {
 
 // --- coordinator / worker loopback --------------------------------------------
 
-fi::CampaignResult run_loopback(const net::CampaignSpec& spec,
-                                const radiation::SoftErrorDatabase& db,
-                                std::vector<net::WorkerOptions> workers,
-                                std::uint64_t chunk = 0) {
-  net::CoordinatorOptions copts;
-  copts.port = 0;
-  copts.loopback_only = true;
-  copts.chunk_injections = chunk;
-  net::Coordinator coordinator(spec, db, copts);
-  const std::uint16_t port = coordinator.port();
-
-  auto result = std::async(std::launch::async,
-                           [&coordinator] { return coordinator.run(); });
+/// Runs `workers` against a coordinator on `port`, one thread each.
+std::vector<std::thread> start_workers(const radiation::SoftErrorDatabase& db,
+                                       std::uint16_t port,
+                                       std::vector<net::WorkerOptions> workers) {
   std::vector<std::thread> threads;
   threads.reserve(workers.size());
   for (net::WorkerOptions wopts : workers) {
@@ -371,6 +364,26 @@ fi::CampaignResult run_loopback(const net::CampaignSpec& spec,
       }
     });
   }
+  return threads;
+}
+
+net::CoordinatorOptions loopback_options(std::uint64_t chunk) {
+  net::CoordinatorOptions copts;
+  copts.port = 0;
+  copts.loopback_only = true;
+  copts.chunk_injections = chunk;
+  return copts;
+}
+
+fi::CampaignResult run_loopback(const net::CampaignSpec& spec,
+                                const radiation::SoftErrorDatabase& db,
+                                std::vector<net::WorkerOptions> workers,
+                                std::uint64_t chunk = 0) {
+  net::Coordinator coordinator(spec, db, loopback_options(chunk));
+  auto result = std::async(std::launch::async,
+                           [&coordinator] { return coordinator.run(); });
+  std::vector<std::thread> threads =
+      start_workers(db, coordinator.port(), std::move(workers));
   const fi::CampaignResult merged = result.get();
   for (std::thread& t : threads) t.join();
   return merged;
@@ -419,6 +432,62 @@ TEST(NetCampaign, WorkerDefectionMidCampaignIsReassignedDeterministically) {
   const fi::CampaignResult merged =
       run_loopback(spec, db, workers, /*chunk=*/3);
   expect_same_result(merged, baseline);
+}
+
+TEST(NetCampaign, StreamingRunIntoColumnarFileMatchesSingleProcess) {
+  const net::CampaignSpec spec = small_spec();
+  const soc::SocModel model = net::build_model(spec);
+  const auto db = radiation::SoftErrorDatabase::default_database();
+  const fi::CampaignResult baseline = fi::run_campaign(model, spec.config, db);
+  ASSERT_GT(baseline.records.size(), 8u);
+
+  // Small chunks and three workers: batches reach the sink in arrival
+  // order, so the writer must cut non-overlapping chunks the reader can
+  // replay in ascending order.
+  const std::string path = testing::TempDir() + "/ssresf_net_stream.ssfs";
+  net::Coordinator coordinator(spec, db, loopback_options(/*chunk=*/3));
+  fi::CampaignStats stats;
+  {
+    fi::ColumnarFileWriter writer(path, /*chunk_rows=*/4);
+    auto result = std::async(std::launch::async, [&coordinator, &writer] {
+      return coordinator.run(writer);
+    });
+    std::vector<std::thread> threads = start_workers(
+        db, coordinator.port(), std::vector<net::WorkerOptions>(3));
+    stats = result.get();
+    for (std::thread& t : threads) t.join();
+  }
+
+  fi::ColumnarFileSource source(path);
+  std::vector<fi::ShardRecord> read_back;
+  fi::RecordBatch batch;
+  while (source.next_batch(batch)) {
+    for (std::size_t i = 0; i < batch.row_count(); ++i) {
+      read_back.push_back(batch.row(i));
+    }
+  }
+  ASSERT_EQ(read_back.size(), baseline.records.size());
+  for (std::size_t i = 0; i < read_back.size(); ++i) {
+    EXPECT_EQ(read_back[i].index, i);
+    EXPECT_EQ(read_back[i].record, baseline.records[i]) << "record " << i;
+  }
+  EXPECT_EQ(stats.num_records, baseline.records.size());
+  EXPECT_EQ(stats.chip_ser_percent, baseline.chip_ser_percent);
+  EXPECT_EQ(stats.set_xsect_cm2, baseline.set_xsect_cm2);
+  EXPECT_EQ(stats.seu_xsect_cm2, baseline.seu_xsect_cm2);
+  EXPECT_EQ(stats.golden_cycles, baseline.golden_cycles);
+  EXPECT_EQ(stats.clock_period_ps, baseline.clock_period_ps);
+  ASSERT_EQ(stats.clusters.size(), baseline.clusters.size());
+  for (std::size_t k = 0; k < stats.clusters.size(); ++k) {
+    EXPECT_EQ(stats.clusters[k].samples, baseline.clusters[k].samples);
+    EXPECT_EQ(stats.clusters[k].errors, baseline.clusters[k].errors);
+    EXPECT_EQ(stats.clusters[k].ser_percent, baseline.clusters[k].ser_percent);
+  }
+  for (std::size_t c = 0; c < netlist::kModuleClassCount; ++c) {
+    EXPECT_EQ(stats.per_class[c].samples, baseline.per_class[c].samples);
+    EXPECT_EQ(stats.per_class[c].errors, baseline.per_class[c].errors);
+  }
+  std::remove(path.c_str());
 }
 
 TEST(NetCampaign, WorkerRejectsDigestMismatch) {

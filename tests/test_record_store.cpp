@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "core/features.h"
+#include "core/session.h"
 #include "fi/campaign.h"
 #include "fi/record_store.h"
 #include "fi/sensitivity.h"
@@ -636,6 +637,38 @@ TEST(RecordStore, RecordsCsvFromSourceMatchesVectorWriter) {
   fs::remove(csv_vector);
   fs::remove(csv_source);
   fs::remove(store);
+}
+
+TEST(RecordStore, CsvWritersReportWriteErrorsNamingThePath) {
+  // A full disk must fail the write loudly, not leave a truncated CSV behind
+  // a normal return. /dev/full accepts the open and fails every flush.
+  if (!fs::exists("/dev/full")) GTEST_SKIP() << "no /dev/full on this host";
+  const soc::SocModel model = small_soc();
+  const auto db = radiation::SoftErrorDatabase::default_database();
+  const fi::CampaignResult campaign =
+      fi::run_campaign(model, small_campaign(), db);
+  const auto expect_write_error = [](const char* writer, const auto& write) {
+    try {
+      write();
+      ADD_FAILURE() << writer << ": write to /dev/full reported success";
+    } catch (const Error& e) {
+      EXPECT_NE(std::string(e.what()).find("/dev/full"), std::string::npos)
+          << writer << ": " << e.what();
+    }
+  };
+  const std::string full = "/dev/full";
+  expect_write_error("records (vector)", [&] {
+    fi::write_records_csv(full, campaign.records);
+  });
+  expect_write_error("records (source)", [&] {
+    fi::VectorSource source(campaign.records);
+    fi::write_records_csv(full, source);
+  });
+  expect_write_error("sensitivity",
+                     [&] { fi::write_sensitivity_csv(full, campaign); });
+  expect_write_error("predictions", [&] {
+    core::write_predictions_csv(full, model, core::SessionPrediction{});
+  });
 }
 
 TEST(RecordStore, ScaleSmokeBoundsPeakMemoryByChunkSize) {

@@ -9,6 +9,7 @@
 //   serve        run with the simulate stage served to socket workers
 //   worker       connect to a serving coordinator and simulate its chunks
 //   merge        merge .ssfs shard files into the scenario's records artifact
+//                (the shards come from `simulate --shard K/N`)
 //   model-serve  long-lived prediction daemon over a models/ directory of
 //                .ssmd bundles (SSNP + HTTP fronts, hot reload)
 //
@@ -19,17 +20,23 @@
 // resume from them, so `ssresf simulate` on one machine, `ssresf train` on a
 // second, and `ssresf predict` on a third compose into one pipeline.
 #include <array>
+#include <charconv>
 #include <chrono>
+#include <cmath>
 #include <csignal>
 #include <cstdio>
+#include <filesystem>
 #include <mutex>
 #include <string>
 #include <thread>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
 #include "core/features.h"
 #include "core/session.h"
+#include "fi/record_store.h"
+#include "fi/sensitivity.h"
 #include "fi/shard.h"
 #include "net/worker.h"
 #include "serve/predict_client.h"
@@ -54,11 +61,15 @@ struct Options {
   int lanes = 0;             // packed lane width; 0 = scenario value
   int record_format = 1;     // records artifact codec: 1 = flat, 2 = columnar
   int workers = 0;           // run/simulate/train: spawned socket workers
+  int shard_index = 0;       // simulate --shard K/N (count 0 = no shard)
+  int shard_count = 0;
   int port = 0;              // serve
+  std::uint64_t chunk = 0;   // serve: injections per work item, 0 = plan/64
   std::string connect;       // worker: host:port
   std::string model_file;    // predict: defaults to <out-dir>/<name>.ssmd
   bool cross_netlist = false;
   std::string records_csv;
+  std::string stats_csv;
   std::string predictions_csv;
   std::vector<std::string> merge_inputs;
   // --- fleet fault tolerance -------------------------------------------------
@@ -73,6 +84,8 @@ struct Options {
   double election_timeout = -1;    // worker: -1 = scenario fleet.election_timeout
   int peer_port = -1;              // worker: -1 = scenario fleet.peer_port
   std::string promoted_csv;        // worker: final CSV if this worker promotes
+  std::string promote_journal;     // worker: a promotion's journal replica
+  std::string chaos;               // worker: SEED:COUNT[:FIRST[:SPAN]]
   std::string advertise_addr;      // worker: host peers dial for the listener
   bool advertise_set = false;
   // --- model serving ---------------------------------------------------------
@@ -108,7 +121,8 @@ void usage(std::FILE* out) {
       "  --scenario FILE     scenario YAML (all commands except worker)\n"
       "  --out-dir DIR       artifact directory (default '.')\n"
       "  --no-resume         recompute stages even when artifacts exist\n"
-      "  --progress          live stage progress on stderr\n"
+      "  --progress          live stage progress on stderr (serve and\n"
+      "                      worker: also the fleet event log)\n"
       "  --threads N         simulation threads per process (default 1)\n"
       "  --lanes N           bit-parallel lane width: 64 or 256 (default:\n"
       "                      scenario value; 256 uses AVX2 when available;\n"
@@ -120,7 +134,13 @@ void usage(std::FILE* out) {
       "\n"
       "run / simulate / train / serve:\n"
       "  --workers N         delegate simulation to N spawned socket workers\n"
+      "run / simulate / train / serve / merge:\n"
       "  --records-csv PATH  write per-injection campaign records as CSV\n"
+      "  --stats-csv PATH    write the cluster/class/chip sensitivity CSV\n"
+      "simulate:\n"
+      "  --shard K/N         run only shard K (0-based) of N and write its\n"
+      "                      records to <out-dir>/<name>.shard-K-of-N.ssfs\n"
+      "                      in the --record-format codec (see merge)\n"
       "run / train / serve:\n"
       "  --publish DIR       also write the trained bundle into DIR (a\n"
       "                      model-serve registry picks it up on its next\n"
@@ -149,6 +169,7 @@ void usage(std::FILE* out) {
       "  --threads N         request-handler threads (default: hardware)\n"
       "serve:\n"
       "  --port P            listen port (default 0 = ephemeral, printed)\n"
+      "  --chunk N           injections per work item (default: plan/64)\n"
       "  --journal PATH      dispatch journal (.ssjl); a restarted serve\n"
       "                      resumes the campaign from it\n"
       "  --fleet-status      print the fleet health table when serving ends\n"
@@ -164,6 +185,14 @@ void usage(std::FILE* out) {
       "                      fleet.peer_port; 0 = ephemeral)\n"
       "  --promoted-csv P    if this worker wins an election, write the\n"
       "                      campaign's final records CSV here\n"
+      "  --promote-journal P where a promoted worker persists its journal\n"
+      "                      replica (default: temp dir)\n"
+      "  --chaos SEED:COUNT[:FIRST[:SPAN]]\n"
+      "                      seeded fault schedule at this worker's\n"
+      "                      frame-send seam: COUNT faults (drop, garble,\n"
+      "                      truncate, delay) at seed-derived op indices in\n"
+      "                      [FIRST, FIRST+SPAN) (defaults 1, 64); records\n"
+      "                      must still merge byte-identically\n"
       "  --advertise-addr H  host peers should dial to reach this worker's\n"
       "                      peer listener (default: scenario\n"
       "                      fleet.advertise_addr; empty = the address the\n"
@@ -174,8 +203,56 @@ void usage(std::FILE* out) {
       "  --connect-timeout S worker connect retry window, seconds (> 0)\n"
       "  --worker-timeout S  coordinator silence reap threshold, seconds (> 0)\n"
       "merge:\n"
-      "  positional          .ssfs shard files to merge\n",
+      "  positional          .ssfs shard files to merge (any mix of v1/v2)\n",
       out);
+}
+
+/// Parses a numeric flag value. The whole string must be a (finite) number:
+/// "7x", "" and out-of-range values are errors that name the flag, never a
+/// silently truncated prefix.
+template <typename T>
+[[nodiscard]] T parse_number(const std::string& flag, const std::string& text) {
+  T value{};
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  bool ok = ec == std::errc() && ptr == end;
+  if constexpr (std::is_floating_point_v<T>) ok = ok && std::isfinite(value);
+  if (!ok) {
+    throw InvalidArgument(flag + " expects a number, got '" + text + "'");
+  }
+  return value;
+}
+
+[[nodiscard]] int parse_port(const std::string& flag, const std::string& text,
+                             int min = 0) {
+  const int port = parse_number<int>(flag, text);
+  if (port < min || port > 65535) {
+    throw InvalidArgument(flag + " expects a port in [" + std::to_string(min) +
+                          ", 65535], got '" + text + "'");
+  }
+  return port;
+}
+
+[[nodiscard]] double parse_seconds(const std::string& flag,
+                                   const std::string& text, bool allow_zero) {
+  const double seconds = parse_number<double>(flag, text);
+  if (seconds < 0 || (seconds == 0 && !allow_zero)) {
+    throw InvalidArgument(flag +
+                          (allow_zero ? " must be >= 0" : " must be positive") +
+                          ", got '" + text + "'");
+  }
+  return seconds;
+}
+
+/// Splits "HOST:PORT" (the last ':' wins, so IPv6-ish hosts still parse).
+[[nodiscard]] std::pair<std::string, std::uint16_t> parse_host_port(
+    const std::string& addr) {
+  const std::size_t colon = addr.rfind(':');
+  if (colon == std::string::npos || colon == 0 || colon + 1 == addr.size()) {
+    throw InvalidArgument("--connect expects HOST:PORT, got '" + addr + "'");
+  }
+  return {addr.substr(0, colon), static_cast<std::uint16_t>(parse_port(
+                                     "--connect", addr.substr(colon + 1), 1))};
 }
 
 [[nodiscard]] Options parse_options(int argc, char** argv) {
@@ -214,10 +291,10 @@ void usage(std::FILE* out) {
     } else if (arg == "--progress") {
       opt.progress = true;
     } else if (arg == "--threads") {
-      opt.threads = std::stoi(need_value(i));
+      opt.threads = parse_number<int>(arg, need_value(i));
       opt.threads_set = true;
     } else if (arg == "--lanes") {
-      opt.lanes = std::stoi(need_value(i));
+      opt.lanes = parse_number<int>(arg, need_value(i));
     } else if (arg == "--record-format") {
       const std::string format = need_value(i);
       if (format == "v1") {
@@ -229,13 +306,24 @@ void usage(std::FILE* out) {
                               "'");
       }
     } else if (arg == "--workers") {
-      opt.workers = std::stoi(need_value(i));
+      opt.workers = parse_number<int>(arg, need_value(i));
       if (opt.workers < 1) throw InvalidArgument("--workers must be >= 1");
-    } else if (arg == "--port") {
-      opt.port = std::stoi(need_value(i));
-      if (opt.port < 0 || opt.port > 65535) {
-        throw InvalidArgument("--port expects a port in [0, 65535]");
+    } else if (arg == "--shard") {
+      const std::string spec = need_value(i);
+      const std::size_t slash = spec.find('/');
+      if (slash == std::string::npos) {
+        throw InvalidArgument("--shard expects K/N, got '" + spec + "'");
       }
+      opt.shard_index = parse_number<int>(arg, spec.substr(0, slash));
+      opt.shard_count = parse_number<int>(arg, spec.substr(slash + 1));
+      if (opt.shard_index < 0 || opt.shard_index >= opt.shard_count) {
+        throw InvalidArgument("--shard expects K/N with 0 <= K < N, got '" +
+                              spec + "'");
+      }
+    } else if (arg == "--port") {
+      opt.port = parse_port(arg, need_value(i));
+    } else if (arg == "--chunk") {
+      opt.chunk = parse_number<std::uint64_t>(arg, need_value(i));
     } else if (arg == "--connect") {
       opt.connect = need_value(i);
     } else if (arg == "--model") {
@@ -244,61 +332,45 @@ void usage(std::FILE* out) {
       opt.cross_netlist = true;
     } else if (arg == "--records-csv") {
       opt.records_csv = need_value(i);
+    } else if (arg == "--stats-csv") {
+      opt.stats_csv = need_value(i);
     } else if (arg == "--predictions-csv") {
       opt.predictions_csv = need_value(i);
     } else if (arg == "--secret") {
       opt.secret = need_value(i);
       opt.secret_set = true;
     } else if (arg == "--connect-timeout") {
-      opt.connect_timeout = std::stod(need_value(i));
-      if (opt.connect_timeout <= 0) {
-        throw InvalidArgument("--connect-timeout must be positive, got " +
-                              std::to_string(opt.connect_timeout));
-      }
+      opt.connect_timeout = parse_seconds(arg, need_value(i), false);
     } else if (arg == "--worker-timeout") {
-      opt.worker_timeout = std::stod(need_value(i));
-      if (opt.worker_timeout <= 0) {
-        throw InvalidArgument("--worker-timeout must be positive, got " +
-                              std::to_string(opt.worker_timeout));
-      }
+      opt.worker_timeout = parse_seconds(arg, need_value(i), false);
     } else if (arg == "--journal") {
       opt.journal = need_value(i);
     } else if (arg == "--fleet-status") {
       opt.fleet_status = true;
     } else if (arg == "--worker-id") {
-      opt.worker_id = std::stoull(need_value(i));
+      opt.worker_id = parse_number<std::uint64_t>(arg, need_value(i));
       if (opt.worker_id == 0) {
         throw InvalidArgument("--worker-id must be nonzero (0 = auto)");
       }
     } else if (arg == "--election-timeout") {
-      opt.election_timeout = std::stod(need_value(i));
-      if (opt.election_timeout < 0) {
-        throw InvalidArgument("--election-timeout must be >= 0, got " +
-                              std::to_string(opt.election_timeout));
-      }
+      opt.election_timeout = parse_seconds(arg, need_value(i), true);
     } else if (arg == "--peer-port") {
-      opt.peer_port = std::stoi(need_value(i));
-      if (opt.peer_port < 0 || opt.peer_port > 65535) {
-        throw InvalidArgument("--peer-port expects a port in [0, 65535]");
-      }
+      opt.peer_port = parse_port(arg, need_value(i));
     } else if (arg == "--promoted-csv") {
       opt.promoted_csv = need_value(i);
+    } else if (arg == "--promote-journal") {
+      opt.promote_journal = need_value(i);
+    } else if (arg == "--chaos") {
+      opt.chaos = need_value(i);
     } else if (arg == "--advertise-addr") {
       opt.advertise_addr = need_value(i);
       opt.advertise_set = true;
     } else if (arg == "--models") {
       opt.models_dir = need_value(i);
     } else if (arg == "--http-port") {
-      opt.http_port = std::stoi(need_value(i));
-      if (opt.http_port < 0 || opt.http_port > 65535) {
-        throw InvalidArgument("--http-port expects a port in [0, 65535]");
-      }
+      opt.http_port = parse_port(arg, need_value(i));
     } else if (arg == "--reload-interval") {
-      opt.reload_interval = std::stod(need_value(i));
-      if (opt.reload_interval < 0) {
-        throw InvalidArgument("--reload-interval must be >= 0, got " +
-                              std::to_string(opt.reload_interval));
-      }
+      opt.reload_interval = parse_seconds(arg, need_value(i), true);
     } else if (arg == "--stats") {
       opt.stats = true;
     } else if (arg == "--model-alias") {
@@ -329,6 +401,16 @@ void usage(std::FILE* out) {
   }
   if (opt.command == "merge" && opt.merge_inputs.empty()) {
     throw InvalidArgument("merge requires shard files");
+  }
+  if (opt.shard_count > 0) {
+    if (opt.command != "simulate") {
+      throw InvalidArgument("--shard is only valid with simulate");
+    }
+    if (opt.workers > 0 || !opt.records_csv.empty() || !opt.stats_csv.empty()) {
+      throw InvalidArgument(
+          "--shard writes only its shard file; --workers, --records-csv and "
+          "--stats-csv need the whole campaign (merge the shards)");
+    }
   }
   return opt;
 }
@@ -372,11 +454,27 @@ class ProgressPrinter {
   bool counting_ = false;
 };
 
-void print_campaign_summary(const fi::CampaignResult& campaign) {
-  std::size_t errors = 0;
+void print_campaign_summary(std::uint64_t injections,
+                            std::uint64_t soft_errors,
+                            double chip_ser_percent) {
+  std::printf("simulate: %llu injections, %llu soft errors, chip SER %.4f%%\n",
+              static_cast<unsigned long long>(injections),
+              static_cast<unsigned long long>(soft_errors), chip_ser_percent);
+}
+
+/// Writes the --records-csv / --stats-csv outputs of a whole campaign, then
+/// prints its one-line summary.
+void report_campaign(const Options& opt, const fi::CampaignResult& campaign) {
+  if (!opt.records_csv.empty()) {
+    fi::write_records_csv(opt.records_csv, campaign.records);
+  }
+  if (!opt.stats_csv.empty()) {
+    fi::write_sensitivity_csv(opt.stats_csv, campaign);
+  }
+  std::uint64_t errors = 0;
   for (const auto& r : campaign.records) errors += r.soft_error ? 1 : 0;
-  std::printf("simulate: %zu injections, %zu soft errors, chip SER %.4f%%\n",
-              campaign.records.size(), errors, campaign.chip_ser_percent);
+  print_campaign_summary(campaign.records.size(), errors,
+                         campaign.chip_ser_percent);
 }
 
 void print_prediction_summary(const soc::SocModel& model,
@@ -472,6 +570,7 @@ int run_stage_command(const Options& opt, const std::string& self) {
   options.record_format = opt.record_format;
   options.serve_port = serve_port;
   options.serve_loopback_only = loopback_only;
+  options.serve_chunk_injections = opt.chunk;
   options.worker_timeout_seconds = opt.worker_timeout;  // 0 = scenario value
   options.serve_journal = opt.journal;
   options.publish_dir = opt.publish_dir;
@@ -497,17 +596,14 @@ int run_stage_command(const Options& opt, const std::string& self) {
   if (opt.command == "simulate") {
     const fi::CampaignResult& campaign = session.simulate();
     fleet.wait();
-    if (!opt.records_csv.empty()) {
-      fi::write_records_csv(opt.records_csv, campaign.records);
-    }
-    print_campaign_summary(campaign);
+    report_campaign(opt, campaign);
     return 0;
   }
   if (opt.command == "train") {
-    if (!opt.records_csv.empty()) {
+    if (!opt.records_csv.empty() || !opt.stats_csv.empty()) {
       // Forces the simulate stage even when train() alone would resume
       // straight from a persisted .ssmd.
-      fi::write_records_csv(opt.records_csv, session.simulate().records);
+      report_campaign(opt, session.simulate());
     }
     const core::ModelBundle& bundle = session.train();
     fleet.wait();
@@ -519,11 +615,8 @@ int run_stage_command(const Options& opt, const std::string& self) {
   // run / serve: the full pipeline.
   const fi::CampaignResult& campaign = session.simulate();
   fleet.wait();
-  if (!opt.records_csv.empty()) {
-    fi::write_records_csv(opt.records_csv, campaign.records);
-  }
+  report_campaign(opt, campaign);
   const core::SessionPrediction& prediction = session.predict();
-  print_campaign_summary(campaign);
   if (session.has_cv()) {
     std::printf("tune: cv accuracy %.2f%% (C=%.3g gamma=%.3g)\n",
                 100.0 * session.cv().mean_accuracy,
@@ -536,6 +629,40 @@ int run_stage_command(const Options& opt, const std::string& self) {
                                 prediction);
     std::printf("predictions written to %s\n", opt.predictions_csv.c_str());
   }
+  return 0;
+}
+
+/// `simulate --shard K/N`: runs only the injections shard K owns and writes
+/// them to <out-dir>/<name>.shard-K-of-N.ssfs for a later `ssresf merge`.
+/// The shard file never takes the records artifact's path, so a resume can
+/// not mistake part of a campaign for the whole of it.
+int run_shard_command(const Options& opt) {
+  const auto db = radiation::SoftErrorDatabase::default_database();
+  const core::ScenarioSpec spec =
+      core::ScenarioSpec::load_file(opt.scenario_file);
+  const soc::SocModel model = spec.build_model();
+  fi::CampaignConfig config = spec.campaign.config;
+  config.threads = opt.threads;
+  if (opt.lanes != 0) config.lanes = opt.lanes;
+  const fi::ShardSpec shard{opt.shard_index, opt.shard_count};
+  const fi::ShardRunResult run =
+      fi::run_campaign_shard(model, config, db, shard);
+
+  fi::ShardFileMeta meta;
+  meta.seed = config.seed;
+  meta.shard_index = static_cast<std::uint32_t>(shard.index);
+  meta.shard_count = static_cast<std::uint32_t>(shard.count);
+  meta.total_injections = run.total_injections;
+  meta.config_digest = fi::campaign_config_digest(model, config);
+  std::filesystem::create_directories(opt.out_dir);
+  const std::string path =
+      (std::filesystem::path(opt.out_dir) /
+       util::format("%s.shard-%d-of-%d.ssfs", spec.name.c_str(), shard.index,
+                    shard.count))
+          .string();
+  fi::write_records_file(path, meta, run.records, opt.record_format);
+  std::printf("shard %d/%d: %zu records -> %s\n", shard.index, shard.count,
+              run.records.size(), path.c_str());
   return 0;
 }
 
@@ -571,21 +698,34 @@ int run_predict_command(const Options& opt) {
   return 0;
 }
 
+/// "SEED:COUNT[:FIRST[:SPAN]]" -> a seeded ChaosSchedule, so CI can run real
+/// multi-process campaigns with chaotic workers and byte-diff the merged CSV
+/// against a clean run.
+[[nodiscard]] net::ChaosSchedule parse_chaos_schedule(const std::string& spec) {
+  std::vector<std::uint64_t> fields;
+  for (std::size_t pos = 0;;) {
+    const std::size_t colon = spec.find(':', pos);
+    fields.push_back(
+        parse_number<std::uint64_t>("--chaos", spec.substr(pos, colon - pos)));
+    if (colon == std::string::npos) break;
+    pos = colon + 1;
+  }
+  if (fields.size() < 2 || fields.size() > 4) {
+    throw InvalidArgument("--chaos expects SEED:COUNT[:FIRST[:SPAN]], got '" +
+                          spec + "'");
+  }
+  const std::uint64_t first = fields.size() > 2 ? fields[2] : 1;
+  const std::uint64_t span = fields.size() > 3 ? fields[3] : 64;
+  return net::ChaosSchedule::from_seed(
+      fields[0], static_cast<std::size_t>(fields[1]), first, span);
+}
+
 int run_worker_command(const Options& opt) {
-  const std::size_t colon = opt.connect.rfind(':');
-  if (colon == std::string::npos || colon == 0 ||
-      colon + 1 == opt.connect.size()) {
-    throw InvalidArgument("--connect expects HOST:PORT, got '" + opt.connect +
-                          "'");
-  }
-  const int port = std::stoi(opt.connect.substr(colon + 1));
-  if (port < 1 || port > 65535) {
-    throw InvalidArgument("--connect port must be in [1, 65535]");
-  }
+  const auto [host, port] = parse_host_port(opt.connect);
   const auto db = radiation::SoftErrorDatabase::default_database();
   net::WorkerOptions wopts;
-  wopts.host = opt.connect.substr(0, colon);
-  wopts.port = static_cast<std::uint16_t>(port);
+  wopts.host = host;
+  wopts.port = port;
   wopts.threads = opt.threads;
   if (opt.lanes != 0) wopts.lanes = opt.lanes;
   wopts.verbose = opt.progress;
@@ -612,6 +752,12 @@ int run_worker_command(const Options& opt) {
   if (opt.peer_port >= 0) {
     wopts.peer_port = static_cast<std::uint16_t>(opt.peer_port);
   }
+  wopts.promote_journal_path = opt.promote_journal;
+  net::ChaosSchedule chaos;
+  if (!opt.chaos.empty()) {
+    chaos = parse_chaos_schedule(opt.chaos);
+    wopts.chaos = &chaos;
+  }
   net::Worker worker(db, wopts);
   const std::uint64_t produced = worker.run();
   std::fprintf(stderr, "worker done: %llu records\n",
@@ -623,20 +769,6 @@ int run_worker_command(const Options& opt) {
                  opt.promoted_csv.c_str());
   }
   return 0;
-}
-
-/// Splits "HOST:PORT" (the last ':' wins, so IPv6-ish hosts still parse).
-[[nodiscard]] std::pair<std::string, std::uint16_t> parse_host_port(
-    const std::string& addr) {
-  const std::size_t colon = addr.rfind(':');
-  if (colon == std::string::npos || colon == 0 || colon + 1 == addr.size()) {
-    throw InvalidArgument("--connect expects HOST:PORT, got '" + addr + "'");
-  }
-  const int port = std::stoi(addr.substr(colon + 1));
-  if (port < 1 || port > 65535) {
-    throw InvalidArgument("--connect port must be in [1, 65535]");
-  }
-  return {addr.substr(0, colon), static_cast<std::uint16_t>(port)};
 }
 
 /// `predict --connect`: classify the scenario's netlist against a running
@@ -746,16 +878,35 @@ int run_merge_command(const Options& opt) {
   options.resume = false;
   options.record_format = opt.record_format;
   core::Session session(std::move(spec), db, std::move(options));
-  fi::CampaignResult result =
-      fi::merge_shard_files(session.model(), session.scenario().campaign.config,
-                            db, opt.merge_inputs);
-  if (!opt.records_csv.empty()) {
-    fi::write_records_csv(opt.records_csv, result.records);
+  const soc::SocModel& model = session.model();
+  const fi::CampaignConfig& config = session.scenario().campaign.config;
+  // The merged campaign becomes the scenario's records artifact, so the
+  // later stages (train / predict) resume from it.
+  if (opt.record_format == 2) {
+    // Streams: the K-way merge writes the columnar artifact directly, with
+    // one batch per input file resident, and the CSVs come from the
+    // artifact and the streamed statistics.
+    fi::CampaignStats stats;
+    {
+      fi::ColumnarFileWriter artifact(session.records_path());
+      stats = fi::merge_record_files(model, config, db, opt.merge_inputs,
+                                     artifact);
+    }
+    if (!opt.records_csv.empty()) {
+      fi::ColumnarFileSource source(session.records_path());
+      fi::write_records_csv(opt.records_csv, source);
+    }
+    if (!opt.stats_csv.empty()) {
+      fi::write_sensitivity_csv(opt.stats_csv, stats);
+    }
+    print_campaign_summary(stats.num_records, stats.num_soft_errors,
+                           stats.chip_ser_percent);
+  } else {
+    fi::CampaignResult result =
+        fi::merge_shard_files(model, config, db, opt.merge_inputs);
+    report_campaign(opt, result);
+    session.adopt_campaign(std::move(result));
   }
-  print_campaign_summary(result);
-  // Persist as the scenario's records artifact so the later stages (train /
-  // predict) resume from the merged campaign.
-  session.adopt_campaign(std::move(result));
   std::printf("records artifact written to %s\n",
               session.records_path().c_str());
   return 0;
@@ -769,6 +920,7 @@ int main(int argc, char** argv) {
     if (opt.command == "worker") return run_worker_command(opt);
     if (opt.command == "merge") return run_merge_command(opt);
     if (opt.command == "model-serve") return run_model_serve(opt);
+    if (opt.shard_count > 0) return run_shard_command(opt);
     if (opt.command == "predict") {
       return opt.connect.empty() ? run_predict_command(opt)
                                  : run_remote_predict(opt);
