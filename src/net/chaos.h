@@ -80,21 +80,28 @@ class ChaosSchedule {
 /// frame index — the in-process stand-in for `kill -9` on the head node.
 /// When it fires, the coordinator abruptly closes every connection and its
 /// listener (no redirect, no shutdown, no drain — nothing a SIGKILLed
-/// process could send) and throws CoordinatorKilled. Because the trigger is
-/// an op index, an election test replays bit-identically with zero sleeps:
-/// the workers observe a vanished coordinator at exactly the same point in
-/// the dispatch stream every run.
+/// process could send) and throws CoordinatorKilled. The trigger is a
+/// frame count, optionally armed only once the election roster lists a
+/// given number of workers — with several workers the count alone does not
+/// say who has joined the fleet by then.
 class CoordinatorDeathSchedule {
  public:
   CoordinatorDeathSchedule() = default;
-  /// Dies upon receiving frame number `die_at_frame` (1-based count of
-  /// frames received across the coordinator's lifetime). 0 = never.
-  explicit CoordinatorDeathSchedule(std::uint64_t die_at_frame)
-      : die_at_frame_(die_at_frame) {}
+  /// Dies upon receiving frame number `die_at_frame` (1-based count of the
+  /// frames received since the roster first listed `armed_at_roster`
+  /// workers; 0 = from the first frame). die_at_frame 0 = never.
+  explicit CoordinatorDeathSchedule(std::uint64_t die_at_frame,
+                                    std::size_t armed_at_roster = 0)
+      : die_at_frame_(die_at_frame), armed_at_roster_(armed_at_roster) {}
+
+  /// The coordinator's roster seam: the election roster now lists `size`
+  /// workers.
+  void on_roster(std::size_t size) { roster_size_ = size; }
 
   /// The coordinator's frame-received seam: counts the frame, returns true
   /// exactly once — when the schedule says this incarnation dies now.
   [[nodiscard]] bool on_frame() {
+    if (roster_size_ < armed_at_roster_) return false;
     ++frames_seen_;
     if (fired_ || die_at_frame_ == 0 || frames_seen_ < die_at_frame_) {
       return false;
@@ -108,6 +115,8 @@ class CoordinatorDeathSchedule {
 
  private:
   std::uint64_t die_at_frame_ = 0;
+  std::size_t armed_at_roster_ = 0;
+  std::size_t roster_size_ = 0;
   std::uint64_t frames_seen_ = 0;
   bool fired_ = false;
 };

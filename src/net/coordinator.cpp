@@ -323,6 +323,7 @@ fi::CampaignStats Coordinator::run_impl(fi::RecordSink* user_sink,
   // during an election round.
   std::vector<PeerEntry> roster;
   const auto broadcast_roster = [&] {
+    if (options_.death != nullptr) options_.death->on_roster(roster.size());
     const std::vector<std::uint8_t> payload =
         encode_payload(PeersMsg{roster});
     for (Conn& c : conns) {

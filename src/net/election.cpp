@@ -1,5 +1,7 @@
 #include "net/election.h"
 
+#include <algorithm>
+
 #include "util/error.h"
 
 namespace ssresf::net {
@@ -56,11 +58,12 @@ void PeerService::set_promoted(std::uint64_t epoch,
   info_.coordinator_port = coordinator_port;
 }
 
-void PeerService::set_candidacy(bool has_bundle,
-                                std::uint64_t replica_entries) {
+void PeerService::set_candidacy(bool candidate, std::uint64_t replica_entries,
+                                std::uint64_t roster_size) {
   const std::lock_guard<std::mutex> lock(mutex_);
-  info_.has_bundle = has_bundle;
+  info_.candidate = candidate;
   info_.replica_entries = replica_entries;
+  info_.roster_size = roster_size;
 }
 
 PeerInfoMsg PeerService::snapshot() const {
@@ -114,6 +117,39 @@ std::optional<PeerInfoMsg> query_peer(const std::string& host,
   } catch (const Error&) {
     return std::nullopt;  // unreachable peer = not a candidate this round
   }
+}
+
+std::optional<std::uint64_t> election_winner(
+    std::uint64_t self_id, bool self_candidate, std::uint64_t epoch,
+    const std::vector<PeerEntry>& roster,
+    const std::vector<std::optional<PeerInfoMsg>>& replies) {
+  if (replies.size() != roster.size()) {
+    throw InvalidArgument("election_winner: one reply slot per roster entry");
+  }
+  const auto stands = [&](std::size_t i) {
+    if (roster[i].worker_id == self_id) return self_candidate;
+    return replies[i].has_value() && replies[i]->epoch == epoch &&
+           replies[i]->candidate;
+  };
+  // The agreed prefix: the shortest roster any candidate was judged
+  // against. Only candidates matter, and each is listed in its own roster.
+  std::size_t agreed = roster.size();
+  bool any = false;
+  for (std::size_t i = 0; i < roster.size(); ++i) {
+    if (!stands(i)) continue;
+    any = true;
+    if (roster[i].worker_id != self_id) {
+      agreed = std::min<std::size_t>(agreed, replies[i]->roster_size);
+    }
+  }
+  if (!any) return std::nullopt;
+  std::optional<std::uint64_t> winner;
+  for (std::size_t i = 0; i < agreed; ++i) {
+    if (stands(i) && (!winner.has_value() || roster[i].worker_id < *winner)) {
+      winner = roster[i].worker_id;
+    }
+  }
+  return winner;
 }
 
 }  // namespace ssresf::net

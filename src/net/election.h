@@ -5,6 +5,7 @@
 #include <optional>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include "net/protocol.h"
 #include "util/socket.h"
@@ -27,14 +28,17 @@ namespace ssresf::net {
 /// When a worker's session is lost past election_timeout, it queries the
 /// roster. If any peer already follows (or is) a coordinator at a HIGHER
 /// epoch, it defers and reconnects there. Otherwise the winner is the
-/// lowest worker id among the candidates — peers that hold the golden
-/// bundle and an intact journal replica (every reachable candidate computes
-/// the same winner from the same roster, no negotiation round needed). The
-/// winner bumps the epoch, persists its replica as the new journal, replays
-/// it through the tolerant reader (re-queuing only unfilled runs — in
-/// particular the un-mirrored tail batches that died with the primary), and
-/// serves; losers poll the winner's peer port until it reports kPromoted,
-/// then join as ordinary workers via the PR 6 retry ladder.
+/// lowest worker id among the candidates — workers that hold the golden
+/// bundle (and with it an intact journal replica) and are listed in their
+/// own roster — within the agreed prefix of the roster (election_winner).
+/// Every reachable candidate computes the same winner even when the
+/// coordinator died before a roster update reached everyone, with no
+/// negotiation round. The winner bumps the epoch, persists its replica as
+/// the new journal, replays it through the tolerant reader (re-queuing
+/// only unfilled runs — in particular the un-mirrored tail batches that
+/// died with the primary), and serves; losers poll the winner's peer port
+/// until it reports kPromoted, then join as ordinary workers via the
+/// reconnect ladder.
 ///
 /// Split-brain is impossible by construction: the epoch is bound into the
 /// handshake MAC (net/auth.h), so a deposed primary returning from the dead
@@ -68,8 +72,11 @@ class PeerService {
   /// Won the election: serving the campaign ourselves at `port` (host is
   /// reported empty = "where you reached me").
   void set_promoted(std::uint64_t epoch, std::uint16_t coordinator_port);
-  /// Candidacy inputs, refreshed as kJournalSync frames land.
-  void set_candidacy(bool has_bundle, std::uint64_t replica_entries);
+  /// Candidacy inputs, refreshed whenever one changes (bundle, kPeers,
+  /// kJournalSync) so that peers read them as they stood at the
+  /// coordinator's death.
+  void set_candidacy(bool candidate, std::uint64_t replica_entries,
+                     std::uint64_t roster_size);
 
   [[nodiscard]] PeerInfoMsg snapshot() const;
 
@@ -82,6 +89,26 @@ class PeerService {
   bool stop_ = false;  // guarded by mutex_
   std::thread thread_;
 };
+
+/// The winner an elector computes from its own roster and this round's
+/// replies (`replies[i]` answers `roster[i]`; nullopt for the elector
+/// itself and for unreachable peers, which are not candidates this round;
+/// replies from another epoch do not count). nullopt = nobody stands.
+///
+/// The coordinator's roster only grows, in admission order, so every
+/// roster a worker holds is a prefix of one sequence, and a candidate is
+/// listed in its own roster. Let L be the shortest roster any candidate
+/// holds: every candidate's roster extends the first L entries, and every
+/// candidate holding a roster that short is listed in every other
+/// candidate's roster. So every candidate finds the same L and the same
+/// candidates within it, and the lowest id among those wins — one winner
+/// even when a kPeers update died unread with the coordinator. Without
+/// the prefix, a worker that missed the update listing a lower-id
+/// newcomer would elect itself while the newcomer did the same.
+[[nodiscard]] std::optional<std::uint64_t> election_winner(
+    std::uint64_t self_id, bool self_candidate, std::uint64_t epoch,
+    const std::vector<PeerEntry>& roster,
+    const std::vector<std::optional<PeerInfoMsg>>& replies);
 
 /// One kPeerQuery round trip: connect, ask, decode. Returns nullopt when
 /// the peer is unreachable, times out, or answers garbage — an unreachable

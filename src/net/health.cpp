@@ -121,10 +121,13 @@ QuarantineReason FleetMonitor::on_heartbeat(
     return QuarantineReason::kNone;
   }
   const double variance = rest.m2 / static_cast<double>(rest.n);
-  // Floor the spread at 10% of the fleet mean: a near-uniform fleet must not
-  // flag millisecond jitter as a multi-sigma outlier.
+  // Floor the spread at 10% of the fleet mean and at 10 ms: a near-uniform
+  // fleet must not flag jitter as a multi-sigma outlier, and on a loaded
+  // host one descheduled chunk stalls for milliseconds whatever the chunk
+  // size. So a worker must lag by more than sigma_limit x 10 ms per chunk
+  // to be slow — with sub-millisecond chunks only a gross straggler is.
   const double spread =
-      std::max({std::sqrt(variance), 0.1 * rest.mean, 1e-9});
+      std::max({std::sqrt(variance), 0.1 * rest.mean, 0.01});
   const double z = (worker.mean - rest.mean) / spread;
   if (z > options_.sigma_limit) {
     if (try_quarantine(worker, QuarantineReason::kSlow)) {

@@ -35,7 +35,8 @@ namespace ssresf::net {
 struct HealthOptions {
   /// Reconnects (beyond the first connect) tolerated before kFlapping.
   int flap_limit = 5;
-  /// z-score beyond which a worker's mean chunk time is an outlier.
+  /// z-score beyond which a worker's mean chunk time is an outlier. The
+  /// spread it scales is at least 10% of the fleet mean and 10 ms.
   double sigma_limit = 4.0;
   /// Minimum per-chunk samples from the *rest* of the fleet before the
   /// slow-worker detector can fire (a z-score against two samples is noise).

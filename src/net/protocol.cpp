@@ -440,9 +440,10 @@ void PeerInfoMsg::encode(util::ByteWriter& out) const {
   out.varint(epoch);
   out.u8(static_cast<std::uint8_t>(phase));
   out.varint(replica_entries);
-  out.u8(has_bundle ? 1 : 0);
+  out.u8(candidate ? 1 : 0);
   out.sized_bytes(coordinator_host.data(), coordinator_host.size());
   out.varint(coordinator_port);
+  out.varint(roster_size);
 }
 
 PeerInfoMsg PeerInfoMsg::decode(util::ByteReader& in) {
@@ -455,10 +456,11 @@ PeerInfoMsg PeerInfoMsg::decode(util::ByteReader& in) {
   }
   msg.phase = static_cast<PeerPhase>(phase);
   msg.replica_entries = in.varint();
-  msg.has_bundle = in.u8() != 0;
+  msg.candidate = in.u8() != 0;
   const std::vector<char> host = in.byte_vec<char>();
   msg.coordinator_host.assign(host.begin(), host.end());
   msg.coordinator_port = static_cast<std::uint16_t>(in.varint());
+  msg.roster_size = in.varint();
   return msg;
 }
 

@@ -38,7 +38,7 @@ namespace ssresf::net {
 /// see serve/predict_server.h) and the worker's advertised peer host in
 /// kHello (multi-host fleets behind NAT report the address peers should
 /// dial instead of whatever the accept() socket saw).
-inline constexpr std::uint8_t kProtocolVersion = 4;
+inline constexpr std::uint8_t kProtocolVersion = 5;
 
 /// Frames over 1 GiB are rejected before allocation: no golden bundle or
 /// record batch comes close, so a larger length is a corrupt or hostile
@@ -274,17 +274,21 @@ enum class PeerPhase : std::uint8_t {
 };
 
 /// Worker -> worker reply to kPeerQuery: everything an elector needs to
-/// pick a leader — candidacy (bundle + replica length), phase, and where
-/// the campaign now lives if this peer already knows. An empty
-/// coordinator_host means "the host you reached me at".
+/// pick a leader — candidacy, the length of the roster it was judged
+/// against, phase, and where the campaign now lives if this peer already
+/// knows. An empty coordinator_host means "the host you reached me at".
 struct PeerInfoMsg {
   std::uint64_t worker_id = 0;
   std::uint64_t epoch = 0;
   PeerPhase phase = PeerPhase::kLost;
   std::uint64_t replica_entries = 0;
-  bool has_bundle = false;
+  /// Stands for election: holds the golden bundle and is listed in its own
+  /// roster (see election_winner).
+  bool candidate = false;
   std::string coordinator_host;
   std::uint16_t coordinator_port = 0;
+  /// Entries in this peer's last kPeers roster.
+  std::uint64_t roster_size = 0;
 
   void encode(util::ByteWriter& out) const;
   [[nodiscard]] static PeerInfoMsg decode(util::ByteReader& in);

@@ -4,7 +4,6 @@
 #include <chrono>
 #include <cstdio>
 #include <filesystem>
-#include <limits>
 #include <numeric>
 #include <optional>
 #include <thread>
@@ -62,7 +61,8 @@ struct Worker::SessionState {
   /// Verified on-disk-format journal entries, in order. Always an intact
   /// prefix: every entry passed decode_journal_entry before admission.
   std::vector<std::vector<std::uint8_t>> replica;
-  /// Fleet roster from the last kPeers broadcast.
+  /// Fleet roster from the last kPeers broadcast of the current coordinator
+  /// incarnation (an admission order is only meaningful within one).
   std::vector<PeerEntry> roster;
   /// Highest election epoch proven to us through a handshake MAC.
   std::uint64_t known_epoch = 0;
@@ -253,48 +253,57 @@ Worker::ElectionOutcome Worker::run_election(SessionState& state,
     }
   };
   peers_->set_electing();
-  peers_->set_candidacy(state.prepared, state.replica.size());
+  publish_candidacy(state);
 
-  // Every reachable elector computes the same winner from the same roster:
-  // the lowest worker id among peers (self included) holding the golden
-  // bundle — their journal replicas are intact prefixes by construction, so
-  // any candidate can resume the campaign without losing filled runs.
-  std::uint64_t winner = state.prepared
-                             ? options_.worker_id
-                             : std::numeric_limits<std::uint64_t>::max();
-  for (const PeerEntry& peer : state.roster) {
+  // Every reachable candidate computes the same winner (election_winner):
+  // the lowest id among candidates within the roster prefix they all hold.
+  // Their journal replicas are intact prefixes by construction, so any
+  // candidate can resume the campaign without losing filled runs.
+  std::vector<std::optional<PeerInfoMsg>> replies(state.roster.size());
+  bool newer_epoch = false;
+  for (std::size_t i = 0; i < state.roster.size(); ++i) {
+    const PeerEntry& peer = state.roster[i];
     if (peer.worker_id == options_.worker_id) continue;
-    const std::optional<PeerInfoMsg> info =
-        query_peer(peer.host, peer.peer_port, options_.worker_id,
-                   options_.peer_timeout_seconds);
-    if (!info.has_value()) continue;  // unreachable = not a candidate now
-    if (info->epoch > state.known_epoch &&
-        (info->phase == PeerPhase::kPromoted ||
-         info->phase == PeerPhase::kServing) &&
-        info->coordinator_port != 0) {
+    replies[i] = query_peer(peer.host, peer.peer_port, options_.worker_id,
+                            options_.peer_timeout_seconds);
+    if (!replies[i].has_value()) continue;  // unreachable = not a candidate
+    const PeerInfoMsg& info = *replies[i];
+    if (info.epoch <= state.known_epoch) continue;
+    if ((info.phase == PeerPhase::kPromoted ||
+         info.phase == PeerPhase::kServing) &&
+        info.coordinator_port != 0) {
       // Someone already serves (or follows) the campaign at a newer epoch —
       // the election is over; join them. The epoch claim is gossip, so we do
       // NOT adopt it here: the handshake MAC will prove it on connect.
-      host = info->coordinator_host.empty() ? peer.host
-                                            : info->coordinator_host;
-      port = info->coordinator_port;
+      host = info.coordinator_host.empty() ? peer.host : info.coordinator_host;
+      port = info.coordinator_port;
       log("election: following worker %llu to %s:%u (epoch %llu)",
-          static_cast<unsigned long long>(info->worker_id), host.c_str(),
+          static_cast<unsigned long long>(info.worker_id), host.c_str(),
           static_cast<unsigned>(port),
-          static_cast<unsigned long long>(info->epoch));
+          static_cast<unsigned long long>(info.epoch));
       return ElectionOutcome::kFollow;
     }
-    if (info->has_bundle && peer.worker_id < winner) winner = peer.worker_id;
+    newer_epoch = true;
   }
-  if (winner == std::numeric_limits<std::uint64_t>::max()) {
+  if (newer_epoch) {
+    // Peers that lived through a later election are electing again; our
+    // roster is from an older coordinator, so we must not stand against
+    // them. Their winner reports kPromoted soon.
+    log("election: peers are at a newer epoch, waiting for their winner");
+    return ElectionOutcome::kRetry;
+  }
+  const std::optional<std::uint64_t> winner =
+      election_winner(options_.worker_id, stands_for_election(state),
+                      state.known_epoch, state.roster, replies);
+  if (!winner.has_value()) {
     log("election: no candidate holds the golden bundle yet");
     return ElectionOutcome::kRetry;
   }
-  if (winner != options_.worker_id) {
+  if (*winner != options_.worker_id) {
     // The winner promotes itself on its own schedule; we will see kPromoted
     // on its peer port next round and follow.
     log("election: deferring to worker %llu",
-        static_cast<unsigned long long>(winner));
+        static_cast<unsigned long long>(*winner));
     return ElectionOutcome::kRetry;
   }
   try {
@@ -307,6 +316,23 @@ Worker::ElectionOutcome Worker::run_election(SessionState& state,
     return ElectionOutcome::kRetry;
   }
   return ElectionOutcome::kPromoted;
+}
+
+bool Worker::stands_for_election(const SessionState& state) const {
+  // Being listed in its own roster is what election_winner's agreement
+  // rests on: a worker the coordinator never announced cannot be weighed
+  // by the peers that would have to defer to it.
+  return state.prepared &&
+         std::any_of(state.roster.begin(), state.roster.end(),
+                     [&](const PeerEntry& peer) {
+                       return peer.worker_id == options_.worker_id;
+                     });
+}
+
+void Worker::publish_candidacy(const SessionState& state) {
+  if (peers_ == nullptr) return;
+  peers_->set_candidacy(stands_for_election(state), state.replica.size(),
+                        state.roster.size());
 }
 
 void Worker::promote(SessionState& state, std::string& host,
@@ -448,6 +474,7 @@ Worker::SessionEnd Worker::run_session(SessionState& state, std::string& host,
   }
   // The MAC binds the epoch, so a verified challenge is proof the claimed
   // epoch is genuine — adopt it (followers learn post-election epochs here).
+  if (challenge.epoch != state.known_epoch) state.roster.clear();
   state.known_epoch = challenge.epoch;
   AuthMsg auth;
   auth.mac = handshake_mac(options_.secret, kProtocolVersion,
@@ -486,6 +513,7 @@ Worker::SessionEnd Worker::run_session(SessionState& state, std::string& host,
     // replica is only meaningful within the incarnation that streamed it.
     state.journal_id = campaign.journal_id;
     state.replica.clear();
+    state.roster.clear();
   }
 
   // Rebuild the exact (model, config) the coordinator holds and prove it via
@@ -540,10 +568,8 @@ Worker::SessionEnd Worker::run_session(SessionState& state, std::string& host,
                      ? static_cast<std::uint64_t>(state.replica.size())
                      : 0};
   send(socket, MsgType::kReady, encode_payload(ready));
-  if (peers_ != nullptr) {
-    peers_->set_serving(state.known_epoch, host, port);
-    peers_->set_candidacy(state.prepared, state.replica.size());
-  }
+  if (peers_ != nullptr) peers_->set_serving(state.known_epoch, host, port);
+  publish_candidacy(state);
 
   std::vector<std::size_t> owned;
   for (;;) {
@@ -564,14 +590,13 @@ Worker::SessionEnd Worker::run_session(SessionState& state, std::string& host,
       // that would replay, so it is an intact prefix by construction.
       (void)decode_journal_entry(sync.entry);
       state.replica.push_back(std::move(sync.entry));
-      if (peers_ != nullptr) {
-        peers_->set_candidacy(state.prepared, state.replica.size());
-      }
+      publish_candidacy(state);
       continue;
     }
     if (frame.type == MsgType::kPeers) {
       util::ByteReader peers_payload(frame.payload);
       state.roster = PeersMsg::decode(peers_payload).peers;
+      publish_candidacy(state);
       continue;
     }
     if (frame.type == MsgType::kShutdown) {

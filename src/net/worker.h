@@ -138,7 +138,7 @@ class StaleCoordinator : public WorkerRejected {
 /// coordinator's dispatch journal (kJournalSync) and serves peer queries.
 /// Once the coordinator has been gone past the election timeout, the fleet
 /// elects the lowest-id worker holding the golden bundle + an intact
-/// replica; the winner persists its replica, promotes itself to coordinator
+/// replica among the roster all candidates agree on; the winner persists its replica, promotes itself to coordinator
 /// at epoch+1 (see net/election.h), and rejoins its own campaign as a
 /// worker so no capacity is lost. Losers discover the new head via peer
 /// queries and reconnect. Worker::run() then returns normally; the merged
@@ -177,6 +177,8 @@ class Worker {
                          std::uint16_t& port, double connect_timeout);
   ElectionOutcome run_election(SessionState& state, std::string& host,
                                std::uint16_t& port);
+  [[nodiscard]] bool stands_for_election(const SessionState& state) const;
+  void publish_candidacy(const SessionState& state);
   void promote(SessionState& state, std::string& host, std::uint16_t& port);
   std::uint64_t run_inner();
   void join_promoted();

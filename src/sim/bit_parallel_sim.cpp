@@ -4,7 +4,6 @@
 #include <array>
 #include <bit>
 
-#include "sim/levelized_sim.h"
 #include "util/bytes.h"
 #include "util/error.h"
 
@@ -61,14 +60,10 @@ template <int W>
 
 template <int W>
 PackedSimulatorT<W>::PackedSimulatorT(const Netlist& netlist)
-    : netlist_(netlist) {
-  if (!netlist.finalized()) {
-    throw InvalidArgument("PackedSimulatorT requires a finalized netlist");
-  }
+    // Settling in the exact levelized order is what keeps every lane
+    // bit-identical to a scalar levelized run.
+    : netlist_(netlist), schedule_(netlist) {
   if constexpr (W == 4) eval_w4_ = netlist::eval_cell_w4_dispatch();
-  // Settling in the exact levelized order is what keeps every lane
-  // bit-identical to a scalar levelized run.
-  eval_order_ = levelized_eval_order(netlist_);
   // Clock nets: primary inputs connected to any CK/CLK pin (same single
   // clock-domain model as the levelized engine).
   is_clock_net_.assign(netlist_.num_nets(), 0);
@@ -123,6 +118,7 @@ void PackedSimulatorT<W>::reset_state() {
       driven_[cell.outputs[0].index()] = wide_splat<W>(Logic::L1);
     }
   }
+  schedule_.mark_all();
   settle();
 }
 
@@ -130,6 +126,9 @@ template <int W>
 struct PackedSimulatorT<W>::State final : EngineState {
   std::uint64_t now = 0;
   std::uint64_t evals = 0;
+  // Nothing was marked at save time: restoring needs no evaluation. Not
+  // serialized — a decoded snapshot is settled again from scratch.
+  bool settled = false;
   std::vector<Planes> driven;
   std::vector<Planes> forced_val;
   std::vector<Mask> forced;
@@ -144,6 +143,7 @@ std::unique_ptr<EngineState> PackedSimulatorT<W>::save_state() const {
   auto state = std::make_unique<State>();
   state->now = now_;
   state->evals = evals_;
+  state->settled = schedule_.settled();
   state->driven = driven_;
   state->forced_val = forced_val_;
   state->forced = forced_;
@@ -174,6 +174,11 @@ void PackedSimulatorT<W>::restore_state(const EngineState& state) {
   ff_q_ = s->ff_q;
   mems_ = s->mems;
   mem_dirty_ = s->mem_dirty;
+  if (s->settled) {
+    schedule_.clear();
+  } else {
+    schedule_.mark_all();
+  }
 }
 
 namespace {
@@ -352,13 +357,27 @@ void PackedSimulatorT<W>::write_net(NetId net, const Planes& v) {
   const auto n = net.index();
   Planes& cur = driven_[n];
   if (cur == v) return;
-  const bool lane0_changed =
-      (((cur.val[0] ^ v.val[0]) | (cur.unk[0] ^ v.unk[0])) & 1) != 0;
+  // Readers see a change only in lanes the net is not forced in.
+  const Mask& forced = forced_[n];
+  std::uint64_t visible[W];
+  std::uint64_t any_visible = 0;
+  for (int k = 0; k < W; ++k) {
+    visible[k] =
+        ((cur.val[k] ^ v.val[k]) | (cur.unk[k] ^ v.unk[k])) & ~forced.w[k];
+    any_visible |= visible[k];
+  }
   cur = v;
+  if (any_visible == 0) return;
+  schedule_.mark_readers(net);
   // The observer sees the golden slot only (per-slot VCD is meaningless).
-  if (has_observer_ && lane0_changed && (forced_[n].w[0] & 1) == 0) {
+  if (has_observer_ && (visible[0] & 1) != 0) {
     observer_(net, now_, wide_get(v, 0));
   }
+}
+
+template <int W>
+void PackedSimulatorT<W>::mark_if_changed(NetId net, const Planes& before) {
+  if (effective(net) != before) schedule_.mark_readers(net);
 }
 
 template <int W>
@@ -479,18 +498,18 @@ void PackedSimulatorT<W>::settle() {
     write_net(cell.outputs[1], wide_not(nq));
   }
   Planes ins[4];
-  for (const CellId id : eval_order_) {
+  schedule_.drain([&](CellId id) {
     const Cell& cell = netlist_.cell(id);
     ++evals_;
     if (cell.kind == CellKind::kMemory) {
       read_memory(cell);
-      continue;
+      return;
     }
     for (std::size_t i = 0; i < cell.inputs.size(); ++i) {
       ins[i] = effective(cell.inputs[i]);
     }
     write_net(cell.outputs[0], eval_comb(cell.kind, ins, cell.inputs.size()));
-  }
+  });
 }
 
 template <int W>
@@ -589,6 +608,7 @@ void PackedSimulatorT<W>::clock_edge(const Mask& capture_mask) {
     std::uint64_t addr0 = 0;
     std::uint64_t word0 = 0;
     const bool w0 = lane_write(0, addr0, word0);
+    bool wrote = w0;
     // Lanes outside nonuni provably behave like lane 0.
     if (w0) {
       for (int l = 0; l < kSlots; ++l) {
@@ -604,10 +624,12 @@ void PackedSimulatorT<W>::clock_edge(const Mask& capture_mask) {
       std::uint64_t word = 0;
       const bool w = lane_write(l, addr, word);
       if (w) array[static_cast<std::size_t>(l) * words + addr] = word;
+      wrote = wrote || w;
       if (w != w0 || (w && (addr != addr0 || word != word0))) {
         mem_dirty_[m].set(l);
       }
     });
+    if (wrote) schedule_.mark_cell(id);
   }
 
   // Commit flip-flops and propagate Q/QN.
@@ -633,7 +655,9 @@ void PackedSimulatorT<W>::set_input(NetId net, Logic v) {
   const Planes pv = wide_splat<W>(v);
   const Planes old = driven_[n];
   if (old == pv) return;
+  const Planes before = effective(net);
   driven_[n] = pv;
+  mark_if_changed(net, before);
   if (is_clock_net_[n] != 0 && wide_get(old, 0) == Logic::L0 &&
       v == Logic::L1) {
     // Lanes forcing the clock net see no edge, exactly like the scalar
@@ -655,25 +679,31 @@ void PackedSimulatorT<W>::advance_to(std::uint64_t time_ps) {
 template <int W>
 void PackedSimulatorT<W>::force_net(NetId net, Logic v) {
   const auto n = net.index();
+  const Planes before = effective(net);
   if (forced_[n].none()) note_forced(net);
   forced_[n] = ~Mask{};
   forced_val_[n] = wide_splat<W>(v);
+  mark_if_changed(net, before);
   settle();
 }
 
 template <int W>
 void PackedSimulatorT<W>::release_net(NetId net) {
   if (forced_[net.index()].none()) return;
+  const Planes before = effective(net);
   forced_[net.index()] = Mask{};
+  mark_if_changed(net, before);
   settle();
 }
 
 template <int W>
 void PackedSimulatorT<W>::force_net_slot(NetId net, int slot, Logic v) {
   const auto n = net.index();
+  const Planes before = effective(net);
   if (forced_[n].none()) note_forced(net);
   forced_[n].set(slot);
   wide_set(forced_val_[n], slot, v);
+  mark_if_changed(net, before);
   settle();
 }
 
@@ -681,7 +711,9 @@ template <int W>
 void PackedSimulatorT<W>::release_net_slot(NetId net, int slot) {
   const auto n = net.index();
   if (!forced_[n].test(slot)) return;
+  const Planes before = effective(net);
   forced_[n].reset(slot);
+  mark_if_changed(net, before);
   settle();
 }
 
@@ -736,6 +768,7 @@ void PackedSimulatorT<W>::write_mem_word(CellId mem, std::uint32_t word,
   for (int lane = 0; lane < kSlots; ++lane) {
     array[static_cast<std::size_t>(lane) * mi.words + word] = v;
   }
+  schedule_.mark_cell(mem);
   settle();
 }
 
@@ -759,6 +792,7 @@ void PackedSimulatorT<W>::write_mem_word_slot(CellId mem, int slot,
   } else {
     mem_dirty_[m].set(slot);
   }
+  schedule_.mark_cell(mem);
   settle();
 }
 
@@ -815,6 +849,7 @@ void PackedSimulatorT<W>::adopt_golden(const Engine& golden) {
     }
     mem_dirty_[m] = Mask{};
   }
+  schedule_.mark_all();
 }
 
 template <int W>

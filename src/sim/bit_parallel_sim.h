@@ -4,6 +4,7 @@
 
 #include "netlist/packed_wide.h"
 #include "sim/engine.h"
+#include "sim/levelized_schedule.h"
 
 namespace ssresf::sim {
 
@@ -14,9 +15,11 @@ using netlist::PackedLogic;
 /// the golden (fault-free) run, slots 1..64*W-1 carry faulty variants — using
 /// two bit-planes of W machine words per net (value + unknown) so full
 /// 4-valued semantics are preserved (see PackedLogic in netlist/logic.h and
-/// PackedVecT in netlist/packed_wide.h). Every combinational cell is
-/// evaluated once per settle with branch-free bitwise plane algebra, which is
-/// the classic PROOFS/HOPE word-parallel speedup.
+/// PackedVecT in netlist/packed_wide.h). A settle evaluates, with
+/// branch-free bitwise plane algebra, only the cells with an input that
+/// changed in some lane since the last settle (the activity-driven
+/// LevelizedSchedule, shared with LevelizedSimulator) — the classic
+/// PROOFS/HOPE word-parallel speedup on top of event-style activity.
 ///
 /// Two widths are instantiated:
 ///   W=1 (BitParallelSimulator):   the classic 64-lane word engine.
@@ -114,7 +117,9 @@ class PackedSimulatorT final : public Engine {
   /// with golden — the campaign's per-slot masked exit.
   [[nodiscard]] Mask state_diff_from_golden();
 
-  /// Total packed cell evaluations performed (each covers 64*W lanes).
+  /// Packed cell evaluations (each covering 64*W lanes) actually performed
+  /// since reset_state — the activity the settles had to process. Part of
+  /// the saved state; state_matches ignores it.
   [[nodiscard]] std::uint64_t evals_performed() const { return evals_; }
 
  private:
@@ -124,6 +129,7 @@ class PackedSimulatorT final : public Engine {
   void clock_edge(const Mask& capture_mask);
   [[nodiscard]] Planes effective(NetId net) const;
   void write_net(NetId net, const Planes& v);
+  void mark_if_changed(NetId net, const Planes& before);
   void note_forced(NetId net);
   void read_memory(const netlist::Cell& cell);
   [[nodiscard]] Planes eval_comb(netlist::CellKind kind, const Planes* ins,
@@ -144,9 +150,9 @@ class PackedSimulatorT final : public Engine {
   // Nets that may hold a non-zero forced_ mask (compacted lazily).
   std::vector<std::uint32_t> forced_nets_;
 
-  std::vector<CellId> eval_order_;  // comb cells + memory reads, topo order
-  std::vector<CellId> seq_cells_;   // FFs + memories, creation order
-  std::vector<CellId> reset_ffs_;   // flip-flops with an async reset pin
+  LevelizedSchedule schedule_;     // comb cells + memory reads, topo order
+  std::vector<CellId> seq_cells_;  // FFs + memories, creation order
+  std::vector<CellId> reset_ffs_;  // flip-flops with an async reset pin
   std::vector<std::uint8_t> is_clock_net_;
   std::vector<Planes> ff_next_;  // clock_edge scratch (per cell index)
   netlist::EvalCellW4Fn eval_w4_ = nullptr;  // W=4 kernel (AVX2 or generic)

@@ -34,7 +34,7 @@ class EngineState {
 /// Common interface of the simulation engines.
 ///
 /// EventSimulator is the timing-accurate reference (the role Synopsys VCS
-/// plays in the paper); LevelizedSimulator is the second, oblivious engine
+/// plays in the paper); LevelizedSimulator is the second, cycle-based engine
 /// (the role of OSS-CVC); BitParallelSimulator packs 64 levelized runs into
 /// every machine word for campaign throughput. All expose the same
 /// VPI-style injection primitives — force/release/deposit — that the paper

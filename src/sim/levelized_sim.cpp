@@ -14,97 +14,25 @@ using netlist::eval_cell;
 using netlist::from_bool;
 using netlist::is_flip_flop;
 using netlist::is_known;
-using netlist::is_sequential;
 using netlist::logic_not;
 using netlist::MemoryInfo;
 
 LevelizedSimulator::LevelizedSimulator(const Netlist& netlist)
-    : netlist_(netlist) {
-  if (!netlist.finalized()) {
-    throw InvalidArgument("LevelizedSimulator requires a finalized netlist");
-  }
-  eval_order_ = levelized_eval_order(netlist_);
+    : netlist_(netlist), schedule_(netlist) {
   // Clock nets: primary inputs connected to any CK/CLK pin.
   is_clock_net_.assign(netlist_.num_nets(), 0);
   for (const CellId id : netlist_.all_cells()) {
     const Cell& cell = netlist_.cell(id);
     if (is_flip_flop(cell.kind)) {
       is_clock_net_[cell.inputs[1].index()] = 1;
+      seq_cells_.push_back(id);
       if (cell.kind != CellKind::kDff) reset_ffs_.push_back(id);
     } else if (cell.kind == CellKind::kMemory) {
       is_clock_net_[cell.inputs[0].index()] = 1;
+      seq_cells_.push_back(id);
     }
   }
   reset_state();
-}
-
-std::vector<CellId> levelized_eval_order(const Netlist& netlist) {
-  // Topological order over "evaluation nodes": combinational cells (inputs =
-  // all pins) and memory macros (inputs = ADDR pins only; their read output
-  // is combinational in a levelized model, everything else is sampled).
-  const std::size_t n = netlist.num_cells();
-  std::vector<std::uint32_t> pending(n, 0);
-  std::vector<CellId> ready;
-
-  auto eval_inputs = [&](const Cell& cell) {
-    std::vector<NetId> ins;
-    if (cell.kind == CellKind::kMemory) {
-      const MemoryInfo& mi = netlist.memory(cell.memory_index);
-      for (int i = 0; i < mi.addr_bits; ++i) ins.push_back(cell.inputs[3u + i]);
-    } else {
-      ins = cell.inputs;
-    }
-    return ins;
-  };
-  auto is_eval_node = [&](const Cell& cell) {
-    return !is_sequential(cell.kind) || cell.kind == CellKind::kMemory;
-  };
-  // A net is a "source" if it is a primary input or driven by a flip-flop.
-  auto net_is_source = [&](NetId id) {
-    const auto& net = netlist.net(id);
-    if (net.is_primary_input) return true;
-    return is_flip_flop(netlist.cell(net.driver).kind);
-  };
-
-  std::size_t num_eval_nodes = 0;
-  for (std::uint32_t ci = 0; ci < n; ++ci) {
-    const Cell& cell = netlist.cell(CellId{ci});
-    if (!is_eval_node(cell)) continue;
-    ++num_eval_nodes;
-    std::uint32_t unresolved = 0;
-    for (const NetId in : eval_inputs(cell)) {
-      if (!net_is_source(in)) ++unresolved;
-    }
-    pending[ci] = unresolved;
-    if (unresolved == 0) ready.push_back(CellId{ci});
-  }
-
-  std::vector<CellId> order;
-  order.reserve(num_eval_nodes);
-  while (!ready.empty()) {
-    const CellId id = ready.back();
-    ready.pop_back();
-    order.push_back(id);
-    const Cell& cell = netlist.cell(id);
-    for (const NetId out : cell.outputs) {
-      for (const netlist::Fanout& fo : netlist.fanout(out)) {
-        const Cell& sink = netlist.cell(fo.cell);
-        if (!is_eval_node(sink)) continue;
-        // Only count edges that the sink's eval-input set contains.
-        if (sink.kind == CellKind::kMemory) {
-          const MemoryInfo& mi = netlist.memory(sink.memory_index);
-          if (fo.input_index < 3 || fo.input_index >= 3u + mi.addr_bits) {
-            continue;
-          }
-        }
-        if (--pending[fo.cell.index()] == 0) ready.push_back(fo.cell);
-      }
-    }
-  }
-  if (order.size() != num_eval_nodes) {
-    throw Error("levelized eval order: combinational cycle in netlist");
-  }
-  return order;
 }
 
 void LevelizedSimulator::reset_state() {
@@ -131,12 +59,16 @@ void LevelizedSimulator::reset_state() {
       driven_[cell.outputs[0].index()] = Logic::L1;
     }
   }
+  schedule_.mark_all();
   settle();
 }
 
 struct LevelizedSimulator::State final : EngineState {
   std::uint64_t now = 0;
   std::uint64_t evals = 0;
+  // Nothing was marked at save time: restoring needs no evaluation. Not
+  // serialized — a decoded snapshot is settled again from scratch.
+  bool settled = false;
   std::vector<Logic> driven;
   std::vector<Logic> forced_val;
   std::vector<std::uint8_t> forced;
@@ -148,6 +80,7 @@ std::unique_ptr<EngineState> LevelizedSimulator::save_state() const {
   auto state = std::make_unique<State>();
   state->now = now_;
   state->evals = evals_;
+  state->settled = schedule_.settled();
   state->driven = driven_;
   state->forced_val = forced_val_;
   state->forced = forced_;
@@ -173,6 +106,11 @@ void LevelizedSimulator::restore_state(const EngineState& state) {
   forced_ = s->forced;
   ff_q_ = s->ff_q;
   mems_ = s->mems;
+  if (s->settled) {
+    schedule_.clear();
+  } else {
+    schedule_.mark_all();
+  }
 }
 
 void LevelizedSimulator::serialize_state(const EngineState& state,
@@ -250,7 +188,13 @@ void LevelizedSimulator::write_net(NetId net, Logic v) {
   const auto n = net.index();
   if (driven_[n] == v) return;
   driven_[n] = v;
-  if (has_observer_ && forced_[n] == 0) observer_(net, now_, v);
+  if (forced_[n] != 0) return;  // readers see the forced value
+  schedule_.mark_readers(net);
+  if (has_observer_) observer_(net, now_, v);
+}
+
+void LevelizedSimulator::mark_if_changed(NetId net, Logic before) {
+  if (effective(net) != before) schedule_.mark_readers(net);
 }
 
 bool LevelizedSimulator::mem_addr(const Cell& cell, std::uint64_t& addr) const {
@@ -281,7 +225,7 @@ void LevelizedSimulator::settle() {
     }
   }
   Logic ins[4];
-  for (const CellId id : eval_order_) {
+  schedule_.drain([&](CellId id) {
     const Cell& cell = netlist_.cell(id);
     ++evals_;
     if (cell.kind == CellKind::kMemory) {
@@ -296,14 +240,14 @@ void LevelizedSimulator::settle() {
           write_net(cell.outputs[i], from_bool((word >> i) & 1));
         }
       }
-      continue;
+      return;
     }
     for (std::size_t i = 0; i < cell.inputs.size(); ++i) {
       ins[i] = effective(cell.inputs[i]);
     }
     write_net(cell.outputs[0],
               eval_cell(cell.kind, std::span<const Logic>(ins, cell.inputs.size())));
-  }
+  });
 }
 
 void LevelizedSimulator::clock_edge() {
@@ -311,31 +255,22 @@ void LevelizedSimulator::clock_edge() {
 
   // Capture phase: compute every sequential element's next state from the
   // pre-edge values, then commit — mirrors nonblocking assignment semantics.
-  struct FfUpdate {
-    CellId cell;
-    Logic q;
-  };
-  std::vector<FfUpdate> ff_updates;
-  struct MemWrite {
-    std::int32_t mem_index;
-    std::uint64_t addr;
-    std::uint64_t word;
-  };
-  std::vector<MemWrite> mem_writes;
+  ff_updates_.clear();
+  mem_writes_.clear();
 
-  for (const CellId id : netlist_.all_cells()) {
+  for (const CellId id : seq_cells_) {
     const Cell& cell = netlist_.cell(id);
     if (is_flip_flop(cell.kind)) {
       if (cell.kind != CellKind::kDff) {
         const Logic rn = as_input(effective(cell.inputs[2]));
         if (rn == Logic::L0) {
           if (ff_q_[id.index()] != Logic::L0) {
-            ff_updates.push_back({id, Logic::L0});
+            ff_updates_.push_back({id, Logic::L0});
           }
           continue;
         }
         if (rn == Logic::X) {
-          if (ff_q_[id.index()] != Logic::L0) ff_updates.push_back({id, Logic::X});
+          if (ff_q_[id.index()] != Logic::L0) ff_updates_.push_back({id, Logic::X});
           continue;
         }
       }
@@ -344,12 +279,12 @@ void LevelizedSimulator::clock_edge() {
         if (en == Logic::L0) continue;
         if (en == Logic::X) {
           const Logic d = as_input(effective(cell.inputs[0]));
-          if (d != ff_q_[id.index()]) ff_updates.push_back({id, Logic::X});
+          if (d != ff_q_[id.index()]) ff_updates_.push_back({id, Logic::X});
           continue;
         }
       }
       const Logic d = as_input(effective(cell.inputs[0]));
-      if (d != ff_q_[id.index()]) ff_updates.push_back({id, d});
+      if (d != ff_q_[id.index()]) ff_updates_.push_back({id, d});
     } else if (cell.kind == CellKind::kMemory) {
       const Logic en = as_input(effective(cell.inputs[1]));
       const Logic we = as_input(effective(cell.inputs[2]));
@@ -378,18 +313,20 @@ void LevelizedSimulator::clock_edge() {
         }
         if (bit == Logic::L1) word |= 1ull << i;
       }
-      if (known) mem_writes.push_back({cell.memory_index, addr, word});
+      if (known) mem_writes_.push_back({id, addr, word});
     }
   }
 
-  for (const auto& up : ff_updates) {
+  for (const auto& up : ff_updates_) {
     ff_q_[up.cell.index()] = up.q;
     const Cell& cell = netlist_.cell(up.cell);
     write_net(cell.outputs[0], up.q);
     write_net(cell.outputs[1], logic_not(up.q));
   }
-  for (const auto& wr : mem_writes) {
-    mems_[static_cast<std::size_t>(wr.mem_index)][wr.addr] = wr.word;
+  for (const auto& wr : mem_writes_) {
+    const auto m = static_cast<std::size_t>(netlist_.cell(wr.cell).memory_index);
+    mems_[m][wr.addr] = wr.word;
+    schedule_.mark_cell(wr.cell);
   }
 
   settle();  // propagate the new state
@@ -401,7 +338,9 @@ void LevelizedSimulator::set_input(NetId net, Logic v) {
   }
   const Logic old = driven_[net.index()];
   if (old == v) return;
+  const Logic before = effective(net);
   driven_[net.index()] = v;
+  mark_if_changed(net, before);
   if (is_clock_net_[net.index()] != 0 && old == Logic::L0 && v == Logic::L1 &&
       forced_[net.index()] == 0) {
     clock_edge();
@@ -415,14 +354,18 @@ void LevelizedSimulator::advance_to(std::uint64_t time_ps) {
 }
 
 void LevelizedSimulator::force_net(NetId net, Logic v) {
+  const Logic before = effective(net);
   forced_[net.index()] = 1;
   forced_val_[net.index()] = v;
+  mark_if_changed(net, before);
   settle();
 }
 
 void LevelizedSimulator::release_net(NetId net) {
   if (forced_[net.index()] == 0) return;
+  const Logic before = effective(net);
   forced_[net.index()] = 0;
+  mark_if_changed(net, before);
   settle();
 }
 
@@ -454,6 +397,7 @@ void LevelizedSimulator::write_mem_word(CellId mem, std::uint32_t word,
   const MemoryInfo& mi = netlist_.memory(cell.memory_index);
   if (word >= mi.words) throw InvalidArgument("memory word out of range");
   mems_[static_cast<std::size_t>(cell.memory_index)][word] = v;
+  schedule_.mark_cell(mem);
   settle();
 }
 

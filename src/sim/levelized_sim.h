@@ -3,22 +3,17 @@
 #include <vector>
 
 #include "sim/engine.h"
+#include "sim/levelized_schedule.h"
 
 namespace ssresf::sim {
 
-/// Topological evaluation order shared by the zero-delay cycle-based
-/// engines: combinational cells (inputs = all pins) and memory macros
-/// (inputs = RADDR pins only; the read output is combinational, everything
-/// else is sampled). LevelizedSimulator and BitParallelSimulator must settle
-/// in this exact order for their trajectories to stay bit-identical.
-/// Throws Error on a combinational cycle.
-[[nodiscard]] std::vector<CellId> levelized_eval_order(const Netlist& netlist);
-
-/// Oblivious (levelized / compiled-style) cycle-based simulator: the second
-/// baseline engine. Every combinational cell — and every memory-macro
-/// asynchronous read — is evaluated in topological order on each settle; a
-/// rising edge on a clock-connected primary input triggers the sequential
-/// capture/commit step.
+/// Levelized (compiled-style) cycle-based simulator: the second baseline
+/// engine. Combinational cells and memory-macro asynchronous reads are
+/// evaluated in topological order, activity-driven: a settle evaluates only
+/// the nodes with an input whose value changed since the last settle (see
+/// LevelizedSchedule), which reaches exactly the fixed point an oblivious
+/// pass over every node would. A rising edge on a clock-connected primary
+/// input triggers the sequential capture/commit step.
 ///
 /// Timing model: zero-delay within a cycle. Consequently a forced SET pulse
 /// is latched iff the force is still active when a clock edge occurs —
@@ -57,7 +52,9 @@ class LevelizedSimulator final : public Engine {
   }
   [[nodiscard]] std::string_view name() const override { return "levelized"; }
 
-  /// Total cell evaluations performed (throughput metric for benches).
+  /// Cells (and memory reads) actually evaluated since reset_state — the
+  /// activity a settle had to process, not eval-order length x settles.
+  /// Part of the saved state; state_matches ignores it.
   [[nodiscard]] std::uint64_t evals_performed() const { return evals_; }
 
  private:
@@ -67,6 +64,7 @@ class LevelizedSimulator final : public Engine {
   void clock_edge();
   [[nodiscard]] Logic effective(NetId net) const;
   void write_net(NetId net, Logic v);
+  void mark_if_changed(NetId net, Logic before);
   [[nodiscard]] bool mem_addr(const netlist::Cell& cell, std::uint64_t& addr) const;
 
   const Netlist& netlist_;
@@ -82,9 +80,22 @@ class LevelizedSimulator final : public Engine {
   std::vector<Logic> ff_q_;
   std::vector<std::vector<std::uint64_t>> mems_;
 
-  std::vector<CellId> eval_order_;  // comb cells + memory reads, topo order
-  std::vector<CellId> reset_ffs_;   // flip-flops with an async reset pin
+  LevelizedSchedule schedule_;     // comb cells + memory reads, topo order
+  std::vector<CellId> seq_cells_;  // FFs + memories, creation order
+  std::vector<CellId> reset_ffs_;  // flip-flops with an async reset pin
   std::vector<std::uint8_t> is_clock_net_;
+  // clock_edge scratch, reused across edges.
+  struct FfUpdate {
+    CellId cell;
+    Logic q;
+  };
+  struct MemWrite {
+    CellId cell;
+    std::uint64_t addr;
+    std::uint64_t word;
+  };
+  std::vector<FfUpdate> ff_updates_;
+  std::vector<MemWrite> mem_writes_;
   ChangeObserver observer_;
   bool has_observer_ = false;  // hot-path guard: skip the std::function call
 };

@@ -17,6 +17,8 @@
 #include "util/bytes.h"
 #include "util/error.h"
 
+#include "settle_differential.h"
+
 namespace ssresf {
 namespace {
 
@@ -405,6 +407,73 @@ TEST(BitParallelEngine, SnapshotRestoreRoundTrip) {
   tb_b.run_cycles(16);
   EXPECT_EQ(OutputTrace::first_mismatch(tb_a.trace(), tb_b.trace()),
             std::nullopt);
+}
+
+TEST(BitParallelEngine, AsyncResetActsPerLane) {
+  NetlistBuilder b("ff");
+  const NetId d = b.input("d");
+  const NetId clk = b.input("clk");
+  const NetId rstn = b.input("rstn");
+  const auto ff = b.dffr(d, clk, rstn, "u_ff");
+  b.output(ff.q, "q");
+  const netlist::Netlist nl = b.finish();
+  BitParallelSimulator sim(nl);
+  sim.set_input(rstn, Logic::L1);
+  sim.set_input(clk, Logic::L0);
+  sim.set_input(d, Logic::L1);
+  sim.set_input(clk, Logic::L1);
+  ASSERT_EQ(sim.value_slot(ff.q, 9), Logic::L1);
+  // A reset asserted in one lane clears only that lane, and keeps it clear
+  // against a deposit although the reset net did not change.
+  sim.force_net_slot(rstn, 9, Logic::L0);
+  EXPECT_EQ(sim.value_slot(ff.q, 9), Logic::L0);
+  EXPECT_EQ(sim.value_slot(ff.q, 0), Logic::L1);
+  sim.deposit_ff_slot(ff.cell, 9, Logic::L1);
+  EXPECT_EQ(sim.value_slot(ff.q, 9), Logic::L0);
+  // Released, that lane holds its cleared state; an unknown reset level in
+  // another lane then makes only that lane unknown.
+  sim.release_net_slot(rstn, 9);
+  EXPECT_EQ(sim.value_slot(ff.q, 9), Logic::L0);
+  sim.force_net_slot(rstn, 17, Logic::X);
+  EXPECT_EQ(sim.value_slot(ff.q, 17), Logic::X);
+  EXPECT_EQ(sim.value_slot(ff.q, 0), Logic::L1);
+}
+
+TEST(BitParallelEngine, ActivitySettleMatchesFullSettle) {
+  for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+    testing_support::expect_activity_settle_matches_full_settle<
+        BitParallelSimulator>(seed);
+  }
+}
+
+TEST(BitParallel256Engine, ActivitySettleMatchesFullSettle) {
+  for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+    testing_support::expect_activity_settle_matches_full_settle<
+        sim::BitParallelSimulator256>(seed);
+  }
+}
+
+TEST(BitParallel256Engine, ObserverSeesTheGoldenSlotOnly) {
+  // Slots 64, 128 and 192 are bit 0 of words 1..3: a change there must not
+  // reach the observer, which reports slot 0.
+  NetlistBuilder b("chain");
+  const NetId a = b.input("a");
+  const NetId y = b.buf(b.inv(a));
+  b.output(y, "y");
+  const netlist::Netlist nl = b.finish();
+  sim::BitParallelSimulator256 sim(nl);
+  sim.set_input(a, Logic::L0);
+  int calls = 0;
+  sim.set_observer([&](NetId, std::uint64_t, Logic) { ++calls; });
+  for (const int slot : {64, 128, 192}) {
+    sim.force_net_slot(a, slot, Logic::L1);
+    EXPECT_EQ(sim.value_slot(y, slot), Logic::L0);
+  }
+  EXPECT_EQ(sim.value_slot(y, 0), Logic::L1);
+  EXPECT_EQ(calls, 0);
+  // A golden-slot change is reported once per net it reaches.
+  sim.force_net_slot(a, 0, Logic::L1);
+  EXPECT_EQ(calls, 2);
 }
 
 TEST(BitParallel256Engine, HighSlotFaultMatchesScalarRun) {

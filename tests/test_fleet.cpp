@@ -614,6 +614,43 @@ TEST(FleetHealth, SlowOutlierIsQuarantinedAgainstTheRestOfTheFleet) {
   EXPECT_NE(monitor.status_table().find("slow"), std::string::npos);
 }
 
+TEST(FleetHealth, SubMillisecondChunksToleratePerChunkStalls) {
+  net::FleetMonitor monitor;
+  ASSERT_TRUE(monitor.on_connect(1));
+  ASSERT_TRUE(monitor.on_connect(2));
+  ASSERT_TRUE(monitor.on_connect(3));
+  ASSERT_TRUE(monitor.on_connect(4));
+  const auto beat = [](std::uint64_t id, double seconds) {
+    net::HeartbeatMsg hb;
+    hb.worker_id = id;
+    hb.chunks_done = 1;
+    hb.last_chunk_seconds = seconds;
+    hb.total_seconds = seconds;
+    hb.last_records_digest = 0x77;
+    return hb;
+  };
+  // A fleet of 0.5 ms chunks with 0.1 ms jitter.
+  for (int i = 0; i < 5; ++i) {
+    const double jitter = 1e-4 * (i % 3);
+    EXPECT_EQ(monitor.on_heartbeat(beat(1, 5e-4 + jitter), 0x77),
+              net::QuarantineReason::kNone);
+    EXPECT_EQ(monitor.on_heartbeat(beat(2, 5e-4 - jitter), 0x77),
+              net::QuarantineReason::kNone);
+  }
+  // Worker 3 was descheduled for 50 ms during one of its first two chunks:
+  // two orders of magnitude over the fleet's own spread, but no straggler.
+  EXPECT_EQ(monitor.on_heartbeat(beat(3, 5e-4), 0x77),
+            net::QuarantineReason::kNone);
+  EXPECT_EQ(monitor.on_heartbeat(beat(3, 0.05), 0x77),
+            net::QuarantineReason::kNone);
+  EXPECT_FALSE(monitor.quarantined(3));
+  // Worker 4 takes 100 ms per chunk: a straggler, whatever the chunk size.
+  EXPECT_EQ(monitor.on_heartbeat(beat(4, 0.1), 0x77),
+            net::QuarantineReason::kNone);
+  EXPECT_EQ(monitor.on_heartbeat(beat(4, 0.1), 0x77),
+            net::QuarantineReason::kSlow);
+}
+
 TEST(FleetHealth, DigestMismatchIsQuarantinedImmediately) {
   net::FleetMonitor monitor;
   ASSERT_TRUE(monitor.on_connect(1));
@@ -1086,6 +1123,64 @@ TEST(FleetElection, PrefixReplicaPromotionRequeuesTheUnmirroredTail) {
   std::remove(journal.c_str());
 }
 
+TEST(FleetElection, LostRosterUpdateStillElectsOneWinner) {
+  // Two live peer services, queried exactly as an election round queries
+  // them. In each case the coordinator died with a kPeers update unread by
+  // someone, so the two workers hold different rosters; every case must
+  // still yield exactly one worker that elects itself.
+  net::PeerService s1(1, 0, true);
+  net::PeerService s2(2, 0, true);
+  const net::PeerEntry w1{1, "127.0.0.1", s1.port()};
+  const net::PeerEntry w2{2, "127.0.0.1", s2.port()};
+  using Roster = std::vector<net::PeerEntry>;
+  const auto listed = [](std::uint64_t id, const Roster& roster) {
+    return std::any_of(roster.begin(), roster.end(),
+                       [&](const net::PeerEntry& e) { return e.worker_id == id; });
+  };
+  // Both hold the golden bundle; the rest is what each worker publishes.
+  const auto elect = [&](const Roster& r1, const Roster& r2) {
+    s1.set_candidacy(listed(1, r1), 0, r1.size());
+    s2.set_candidacy(listed(2, r2), 0, r2.size());
+    const auto winner_of = [&](std::uint64_t self, const Roster& roster) {
+      std::vector<std::optional<net::PeerInfoMsg>> replies(roster.size());
+      for (std::size_t i = 0; i < roster.size(); ++i) {
+        if (roster[i].worker_id == self) continue;
+        replies[i] = net::query_peer(roster[i].host, roster[i].peer_port, self,
+                                     5.0);
+        EXPECT_TRUE(replies[i].has_value());
+      }
+      return net::election_winner(self, listed(self, roster), 0, roster,
+                                  replies);
+    };
+    return std::make_pair(winner_of(1, r1), winner_of(2, r2));
+  };
+  const std::optional<std::uint64_t> one = 1;
+  const std::optional<std::uint64_t> two = 2;
+  const std::optional<std::uint64_t> none;
+
+  // Everyone read the last update: the lowest id wins.
+  EXPECT_EQ(elect({w2, w1}, {w2, w1}), std::make_pair(one, one));
+  // Admitted 2 then 1, and worker 2 never read the update listing worker 1.
+  // Each worker's lowest-id candidate would be itself; the prefix both
+  // hold is [2], so both elect worker 2.
+  EXPECT_EQ(elect({w2, w1}, {w2}), std::make_pair(two, two));
+  // Admitted 1 then 2, and worker 1 missed the update listing worker 2.
+  EXPECT_EQ(elect({w1}, {w1, w2}), std::make_pair(one, one));
+  // Worker 1 was never admitted (its kReady died with the coordinator): it
+  // does not stand, and defers to the only candidate it knows, or to
+  // nobody.
+  EXPECT_EQ(elect({w2}, {w2}), std::make_pair(two, two));
+  EXPECT_EQ(elect({}, {w2}), std::make_pair(none, two));
+
+  // A reply from another epoch is not a candidate in this one.
+  s2.set_candidacy(true, 0, 1);
+  s2.set_promoted(3, 0);
+  std::vector<std::optional<net::PeerInfoMsg>> replies(2);
+  replies[0] = net::query_peer(w2.host, w2.peer_port, 1, 5.0);
+  ASSERT_TRUE(replies[0].has_value());
+  EXPECT_EQ(net::election_winner(1, true, 0, {w2, w1}, replies), one);
+}
+
 TEST(FleetElection, WorkersElectAReplacementAfterCoordinatorDeath) {
   // The tentpole, end to end and fully deterministic: the coordinator is
   // SIGKILLed (in-process stand-in: connections and listener dropped cold
@@ -1105,7 +1200,19 @@ TEST(FleetElection, WorkersElectAReplacementAfterCoordinatorDeath) {
   std::remove(journal.c_str());
   std::remove(promote_journal.c_str());
 
-  net::CoordinatorDeathSchedule death(/*die_at_frame=*/12);
+  // The expected winner is defined by the fleet the coordinator announced:
+  // the death is armed once the roster lists both workers (worker 1 wins
+  // only if it was admitted), and each worker's first records frame (send
+  // op 3, after hello, auth and ready) is held back 500 ms so that the
+  // campaign is still running when the slower worker is admitted.
+  // LostRosterUpdateStillElectsOneWinner covers deaths that cut a roster
+  // update short.
+  net::CoordinatorDeathSchedule death(/*die_at_frame=*/6,
+                                      /*armed_at_roster=*/2);
+  net::ChaosSchedule join_gate[2];
+  for (net::ChaosSchedule& gate : join_gate) {
+    gate.add({3, net::ChaosKind::kDelayMs, 500});
+  }
   net::CoordinatorOptions copts;
   copts.port = 0;
   copts.loopback_only = true;
@@ -1136,6 +1243,12 @@ TEST(FleetElection, WorkersElectAReplacementAfterCoordinatorDeath) {
     wopts.max_reconnect_attempts = 20;
     wopts.election_timeout_seconds = 0.05;
     wopts.promote_journal_path = promote_journal;
+    wopts.chaos = &join_gate[id - 1];
+    // The slow-worker detector is not under test. The promoted coordinator
+    // ships 1-injection chunks whose cost follows each strike's activity,
+    // and under a sanitizer's slowdown two heavy ones got a worker
+    // quarantined, aborting the run.
+    wopts.chunk_seconds_override = 0.01;
     return std::make_unique<net::Worker>(db, wopts);
   };
   const std::unique_ptr<net::Worker> w1 = make_worker(1);
@@ -1167,6 +1280,80 @@ TEST(FleetElection, WorkersElectAReplacementAfterCoordinatorDeath) {
   EXPECT_EQ(journaled, baseline.records.size());
 
   std::remove(journal.c_str());
+  std::remove(promote_journal.c_str());
+}
+
+TEST(FleetElection, CandidacyIsPublishedBeforeThePeerElects) {
+  // Worker 2 runs its election long before worker 1 starts one, so it
+  // judges worker 1 by what worker 1's peer service published while the
+  // coordinator was alive. The coordinator keeps no journal, so no
+  // kJournalSync frame refreshes that after the roster arrives: worker 1
+  // must publish its candidacy when the roster listing it lands, or worker
+  // 2 elects itself.
+  const net::CampaignSpec spec = small_spec();
+  const soc::SocModel model = net::build_model(spec);
+  const auto db = radiation::SoftErrorDatabase::default_database();
+  const fi::CampaignResult baseline = fi::run_campaign(model, spec.config, db);
+
+  const std::string promote_journal =
+      testing::TempDir() + "/ssresf_candidacy_promoted.ssjl";
+  std::remove(promote_journal.c_str());
+
+  net::CoordinatorDeathSchedule death(/*die_at_frame=*/4,
+                                      /*armed_at_roster=*/2);
+  net::ChaosSchedule join_gate[2];
+  for (net::ChaosSchedule& gate : join_gate) {
+    gate.add({3, net::ChaosKind::kDelayMs, 500});
+  }
+  net::CoordinatorOptions copts;
+  copts.port = 0;
+  copts.loopback_only = true;
+  copts.chunk_injections = 2;
+  copts.secret = "election-demo";
+  copts.death = &death;
+  net::Coordinator coordinator(spec, db, copts);
+  const std::uint16_t port = coordinator.port();
+  auto doomed = std::async(std::launch::async, [&coordinator] {
+    try {
+      (void)coordinator.run();
+      return false;
+    } catch (const net::CoordinatorKilled&) {
+      return true;
+    }
+  });
+
+  const auto make_worker = [&](std::uint64_t id, double election_timeout) {
+    net::WorkerOptions wopts;
+    wopts.host = "127.0.0.1";
+    wopts.port = port;
+    wopts.worker_id = id;
+    wopts.secret = "election-demo";
+    wopts.connect_timeout_seconds = 0.3;
+    wopts.backoff_base_seconds = 0.01;
+    wopts.backoff_cap_seconds = 0.1;
+    wopts.max_reconnect_attempts = 40;
+    wopts.election_timeout_seconds = election_timeout;
+    wopts.promote_journal_path = promote_journal;
+    wopts.chaos = &join_gate[id - 1];
+    // The slow-worker detector is not under test. The promoted coordinator
+    // ships 1-injection chunks whose cost follows each strike's activity,
+    // and under a sanitizer's slowdown two heavy ones got a worker
+    // quarantined, aborting the run.
+    wopts.chunk_seconds_override = 0.01;
+    return std::make_unique<net::Worker>(db, wopts);
+  };
+  const std::unique_ptr<net::Worker> w1 = make_worker(1, 0.5);
+  const std::unique_ptr<net::Worker> w2 = make_worker(2, 0.05);
+  std::thread t1([&w1] { (void)w1->run(); });
+  std::thread t2([&w2] { (void)w2->run(); });
+  t1.join();
+  t2.join();
+  EXPECT_TRUE(doomed.get()) << "the death schedule must fire mid-campaign";
+
+  EXPECT_TRUE(w1->promoted());
+  EXPECT_FALSE(w2->promoted());
+  ASSERT_TRUE(w1->promoted_result().has_value());
+  expect_same_result(*w1->promoted_result(), baseline);
   std::remove(promote_journal.c_str());
 }
 

@@ -14,6 +14,8 @@
 #include "util/error.h"
 #include "util/rng.h"
 
+#include "settle_differential.h"
+
 namespace ssresf::sim {
 namespace {
 
@@ -302,6 +304,37 @@ TEST(LevelizedSim, MatchesMemorySemantics) {
   EXPECT_EQ(get_bus(sim, d.rdata), 60u);
   sim.set_input(d.clk, Logic::L1);
   EXPECT_EQ(get_bus(sim, d.rdata), 123u);
+}
+
+TEST(LevelizedSim, AsyncResetIsLevelSensitive) {
+  auto d = make_dff();
+  LevelizedSimulator sim(d.netlist);
+  sim.set_input(d.rstn, Logic::L1);
+  sim.set_input(d.clk, Logic::L0);
+  sim.set_input(d.d, Logic::L1);
+  sim.set_input(d.clk, Logic::L1);
+  ASSERT_EQ(sim.value(d.q), Logic::L1);
+  // An unknown reset level makes a set flip-flop unknown, without a clock.
+  sim.set_input(d.rstn, Logic::X);
+  EXPECT_EQ(sim.value(d.q), Logic::X);
+  // An asserted reset clears it and keeps it clear: a deposit is undone by
+  // the settle that follows it, although the reset net did not change.
+  sim.set_input(d.rstn, Logic::L0);
+  EXPECT_EQ(sim.value(d.q), Logic::L0);
+  sim.deposit_ff(d.ff, Logic::L1);
+  EXPECT_EQ(sim.value(d.q), Logic::L0);
+  EXPECT_EQ(sim.value(d.qn), Logic::L1);
+  // Released, the flip-flop holds whatever it is given until a capture.
+  sim.set_input(d.rstn, Logic::L1);
+  sim.deposit_ff(d.ff, Logic::L1);
+  EXPECT_EQ(sim.value(d.q), Logic::L1);
+}
+
+TEST(LevelizedSim, ActivitySettleMatchesFullSettle) {
+  for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+    testing_support::expect_activity_settle_matches_full_settle<
+        LevelizedSimulator>(seed);
+  }
 }
 
 TEST(Engines, RandomSequentialEquivalence) {
