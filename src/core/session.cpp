@@ -1,5 +1,6 @@
 #include "core/session.h"
 
+#include <algorithm>
 #include <cstdio>
 #include <filesystem>
 #include <numeric>
@@ -11,6 +12,7 @@
 #include "ml/feature_selection.h"
 #include "net/coordinator.h"
 #include "util/csv.h"
+#include "util/thread_pool.h"
 #include "util/timer.h"
 
 namespace ssresf::core {
@@ -132,6 +134,11 @@ fi::CampaignConfig Session::exec_config() const {
     };
   }
   return config;
+}
+
+int Session::ml_threads() const {
+  const int threads = exec_config().threads;
+  return threads > 0 ? threads : util::ThreadPool::hardware_threads();
 }
 
 fi::CampaignResult Session::simulate_served() {
@@ -261,8 +268,8 @@ const ml::SvmConfig& Session::tune() {
   if (spec_.feature_selection &&
       data.count_label(1) > 0 && data.count_label(-1) > 0) {
     util::Rng selection_rng = ml_rng.fork();
-    const ml::FeatureSelectionResult selection =
-        ml::select_features(data, spec_.svm, spec_.cv_folds, selection_rng);
+    const ml::FeatureSelectionResult selection = ml::select_features(
+        data, spec_.svm, spec_.cv_folds, selection_rng, ml_threads());
     selected_features_.assign(
         selection.ranked.begin(),
         selection.ranked.begin() + selection.best_count);
@@ -286,13 +293,14 @@ const ml::SvmConfig& Session::tune() {
     util::Rng grid_rng = ml_rng.fork();
     const ml::GridSearchResult grid =
         ml::grid_search(*projected_, spec_.svm, spec_.grid_c, spec_.grid_gamma,
-                        spec_.cv_folds, grid_rng);
+                        spec_.cv_folds, grid_rng, ml_threads());
     chosen_svm_ = grid.best;
     count("tune", static_cast<std::uint64_t>(grid.grid.size()),
           static_cast<std::uint64_t>(grid.grid.size()));
   }
   util::Rng cv_rng = ml_rng.fork();
-  cv_ = ml::cross_validate(*projected_, chosen_svm_, spec_.cv_folds, cv_rng);
+  cv_ = ml::cross_validate(*projected_, chosen_svm_, spec_.cv_folds, cv_rng,
+                           ml_threads());
   tuned_ = true;
   char accuracy[32];
   std::snprintf(accuracy, sizeof(accuracy), "%.2f%%",
@@ -392,25 +400,44 @@ std::vector<double> Session::bundle_row(
   return bundle_scaled_row(*bundle_, raw_features);
 }
 
+std::vector<int> Session::classify(std::span<const CellId> cells) const {
+  // Cells are independent: ranges are classified on the pool into their own
+  // slots of the presized label vector, so labels never depend on threads.
+  constexpr std::size_t kCellsPerTask = 1024;
+  const FeatureExtractor extractor(model_.netlist);
+  std::vector<int> labels(cells.size());
+  util::parallel_for(
+      (cells.size() + kCellsPerTask - 1) / kCellsPerTask, ml_threads(),
+      [&](std::size_t task) {
+        const std::size_t end =
+            std::min(cells.size(), (task + 1) * kCellsPerTask);
+        for (std::size_t i = task * kCellsPerTask; i < end; ++i) {
+          labels[i] = bundle_->model.predict(
+              bundle_row(extractor.extract(cells[i])));
+        }
+      });
+  return labels;
+}
+
 const SessionPrediction& Session::predict() {
   if (prediction_) return *prediction_;
   train();
   note("predict", "started");
-  const FeatureExtractor extractor(model_.netlist);
   SessionPrediction prediction;
   util::Timer timer;
-  std::array<std::size_t, netlist::kModuleClassCount> high{};
-  std::array<std::size_t, netlist::kModuleClassCount> total{};
   for (const CellId id : model_.netlist.all_cells()) {
     const CellKind kind = model_.netlist.cell(id).kind;
     if (kind == CellKind::kConst0 || kind == CellKind::kConst1) continue;
-    const auto features = extractor.extract(id);
-    const int label = bundle_->model.predict(bundle_row(features));
     prediction.cells.push_back(id);
-    prediction.labels.push_back(label);
-    const auto cls = static_cast<std::size_t>(model_.netlist.cell_class(id));
+  }
+  prediction.labels = classify(prediction.cells);
+  std::array<std::size_t, netlist::kModuleClassCount> high{};
+  std::array<std::size_t, netlist::kModuleClassCount> total{};
+  for (std::size_t i = 0; i < prediction.cells.size(); ++i) {
+    const auto cls = static_cast<std::size_t>(
+        model_.netlist.cell_class(prediction.cells[i]));
     ++total[cls];
-    if (label == 1) ++high[cls];
+    if (prediction.labels[i] == 1) ++high[cls];
   }
   prediction.predict_seconds = timer.seconds();
   for (std::size_t c = 0; c < netlist::kModuleClassCount; ++c) {
@@ -447,14 +474,19 @@ PipelineResult Session::run_all() {
   // The Fig. 7 SVM series: per-class high-sensitivity fraction over the
   // fault-injection-list nodes (the paper's test dataset), directly
   // comparable to the simulation columns.
-  const FeatureExtractor extractor(model_.netlist);
+  std::vector<CellId> injected;
+  injected.reserve(campaign_->records.size());
+  for (const fi::InjectionRecord& record : campaign_->records) {
+    injected.push_back(record.event.target.cell);
+  }
+  const std::vector<int> labels = classify(injected);
   std::array<std::size_t, netlist::kModuleClassCount> high{};
   std::array<std::size_t, netlist::kModuleClassCount> total{};
-  for (const fi::InjectionRecord& record : campaign_->records) {
-    const auto cls = static_cast<std::size_t>(record.module_class);
+  for (std::size_t i = 0; i < labels.size(); ++i) {
+    const auto cls =
+        static_cast<std::size_t>(campaign_->records[i].module_class);
     ++total[cls];
-    const auto features = extractor.extract(record.event.target.cell);
-    if (bundle_->model.predict(bundle_row(features)) == 1) ++high[cls];
+    if (labels[i] == 1) ++high[cls];
   }
   for (std::size_t c = 0; c < netlist::kModuleClassCount; ++c) {
     result.predicted_class_percent[c] =

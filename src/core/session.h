@@ -173,6 +173,9 @@ class Session {
  private:
   [[nodiscard]] bool persists() const { return !options_.artifact_dir.empty(); }
   [[nodiscard]] fi::CampaignConfig exec_config() const;
+  /// Workers for the ML stages: the campaign thread count, resolved (a
+  /// value <= 0 picks hardware threads). ML outputs do not depend on it.
+  [[nodiscard]] int ml_threads() const;
   void note(std::string_view stage, std::string message);
   void count(std::string_view stage, std::uint64_t done, std::uint64_t total);
   [[nodiscard]] fi::CampaignResult simulate_served();
@@ -180,6 +183,9 @@ class Session {
   void publish_bundle();
   [[nodiscard]] std::vector<double> bundle_row(
       std::span<const double> raw_features) const;
+  /// The bundle's label for each cell, in order.
+  [[nodiscard]] std::vector<int> classify(
+      std::span<const netlist::CellId> cells) const;
 
   ScenarioSpec spec_;
   const radiation::SoftErrorDatabase& db_;

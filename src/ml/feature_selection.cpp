@@ -47,7 +47,7 @@ std::vector<double> fisher_scores(const Dataset& dataset) {
 
 FeatureSelectionResult select_features(const Dataset& dataset,
                                        const SvmConfig& config, int folds,
-                                       util::Rng& rng) {
+                                       util::Rng& rng, int threads) {
   const auto scores = fisher_scores(dataset);
   FeatureSelectionResult result;
   result.ranked.resize(scores.size());
@@ -58,12 +58,18 @@ FeatureSelectionResult select_features(const Dataset& dataset,
                             scores[static_cast<std::size_t>(b)];
                    });
 
-  std::vector<double> stddevs;
+  std::vector<Dataset> projected;
+  projected.reserve(result.ranked.size());
+  std::vector<detail::CvJob> jobs;
   for (std::size_t k = 1; k <= result.ranked.size(); ++k) {
     const std::span<const int> top(result.ranked.data(), k);
-    const Dataset projected = dataset.project(top);
+    projected.push_back(dataset.project(top));
     util::Rng fold_rng = rng.fork();
-    const CvResult cv = cross_validate(projected, config, folds, fold_rng);
+    jobs.push_back({&projected.back(), config,
+                    stratified_kfold(projected.back(), folds, fold_rng)});
+  }
+  std::vector<double> stddevs;
+  for (const CvResult& cv : detail::run_cv_jobs(jobs, threads)) {
     result.cv_score_by_count.push_back(cv.mean_accuracy);
     stddevs.push_back(cv.stddev_accuracy);
   }

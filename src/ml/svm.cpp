@@ -1,9 +1,8 @@
 #include "ml/svm.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
-#include <list>
-#include <unordered_map>
 
 #include "util/bytes.h"
 #include "util/error.h"
@@ -72,25 +71,43 @@ SvmClassifier SvmClassifier::decode(util::ByteReader& in) {
 
 namespace {
 
-/// Memory budget of the Q-matrix row cache. Table-II-sized datasets (a few
-/// hundred to a few thousand samples) fit entirely; larger datasets degrade
-/// to LRU behaviour instead of failing or allocating n^2 doubles.
-constexpr std::size_t kQCacheBytes = std::size_t{64} << 20;
+/// Default memory budget of the kernel store's dense columns. A column holds
+/// n doubles, so Table-II-sized datasets (a few hundred to a few thousand
+/// samples) give every nonzero-alpha sample a column; larger ones evaluate
+/// the kernel values of column-less samples afresh instead of failing or
+/// allocating n^2 doubles.
+constexpr std::size_t kKernelStoreBytes = std::size_t{64} << 20;
 
-/// LRU cache of Q-matrix rows (row i = K(x_i, x_j) for all j), computed on
-/// demand. Symmetry is exploited on fill: entries whose mirror row is
-/// resident are copied instead of re-evaluated, so a fully resident cache
-/// costs exactly the n(n+1)/2 evaluations of a triangular precompute while
-/// touching rows lazily.
-class QRowCache {
+/// The bits of a store entry that has not been evaluated yet: a signalling
+/// NaN. kernel_eval returns the result of floating-point arithmetic, which
+/// never produces a signalling NaN, so no evaluated kernel value has them.
+constexpr std::uint64_t kUnknownBits = 0x7ff4000000000000ull;
+
+[[nodiscard]] bool known(double v) {
+  return std::bit_cast<std::uint64_t>(v) != kUnknownBits;
+}
+
+/// Kernel values K(x_i, x_j) for SMO, evaluated only when the solver reads
+/// them. The decision value f(i) reads K(i, k) for every k with a nonzero
+/// alpha, so each such k gets a dense column (K(x, x_k) for every x, filled
+/// entry by entry on first read) while the budget allows. The pair step's
+/// K(i, j) between two samples without columns goes into a short sparse list
+/// per sample, which moves into the dense column when the sample gets one.
+/// kernel_eval is exactly symmetric, so an entry is read from either
+/// sample's column. Until the budget forces an eviction, no kernel value is
+/// evaluated twice.
+class KernelStore {
  public:
-  QRowCache(const Dataset& dataset, const KernelConfig& kernel,
-            std::uint64_t& evals)
-      : dataset_(dataset), kernel_(kernel), evals_(evals) {
+  KernelStore(const Dataset& dataset, const KernelConfig& kernel,
+              std::size_t budget_bytes, std::uint64_t& evals)
+      : dataset_(dataset),
+        kernel_(kernel),
+        evals_(evals),
+        capacity_(std::min(budget_bytes / (dataset.size() * sizeof(double)),
+                           dataset.size())),
+        dense_(dataset.size(), nullptr),
+        sparse_(dataset.size()) {
     const std::size_t n = dataset.size();
-    capacity_ = std::clamp<std::size_t>(
-        kQCacheBytes / (n * sizeof(double)), 2, n);
-    resident_.assign(n, nullptr);
     diag_.resize(n);
     for (std::size_t i = 0; i < n; ++i) {
       diag_[i] = kernel_eval(kernel_, dataset_.row(i), dataset_.row(i));
@@ -100,50 +117,97 @@ class QRowCache {
 
   [[nodiscard]] double diag(std::size_t i) const { return diag_[i]; }
 
-  /// Reference stays valid until at least one more row() call has completed
-  /// after the next one (capacity >= 2: the two most recent rows coexist).
-  const std::vector<double>& row(std::size_t i) {
-    if (auto it = index_.find(i); it != index_.end()) {
-      lru_.splice(lru_.begin(), lru_, it->second);
-      return it->second->second;
+  /// K(x_i, x_k) for the decision value's sum over nonzero-alpha samples k.
+  double at(std::size_t i, std::size_t k) {
+    if (const double* col = dense_[k]; col != nullptr && known(col[i])) {
+      return col[i];
     }
-    const std::size_t n = dataset_.size();
-    if (lru_.size() >= capacity_) {
-      // Recycle the least-recently-used row's storage.
-      const std::size_t evicted = lru_.back().first;
-      index_.erase(evicted);
-      resident_[evicted] = nullptr;
-      lru_.splice(lru_.begin(), lru_, std::prev(lru_.end()));
-      lru_.front().first = i;
+    return fill(i, k, /*pair_step=*/false);
+  }
+
+  /// K(x_i, x_j) for the pair step: a value between two samples without
+  /// columns is kept in their sparse lists.
+  double pair(std::size_t i, std::size_t j) {
+    if (const double* col = dense_[j]; col != nullptr && known(col[i])) {
+      return col[i];
+    }
+    return fill(i, j, /*pair_step=*/true);
+  }
+
+  /// Gives k a dense column (call when alpha_k becomes nonzero). When the
+  /// budget is spent, the column of a sample whose alpha is zero is reused;
+  /// when every column belongs to a nonzero alpha, k goes without.
+  void activate(std::size_t k, std::span<const double> alpha) {
+    if (dense_[k] != nullptr) return;
+    std::size_t slot = columns_.size();
+    if (slot < capacity_) {
+      columns_.emplace_back(dataset_.size(), std::bit_cast<double>(kUnknownBits));
+      owners_.push_back(k);
     } else {
-      lru_.emplace_front(i, std::vector<double>(n));
-    }
-    std::vector<double>& row = lru_.front().second;
-    for (std::size_t j = 0; j < n; ++j) {
-      if (j == i) {
-        row[j] = diag_[i];
-      } else if (resident_[j] != nullptr) {
-        row[j] = (*resident_[j])[i];  // K is symmetric
-      } else {
-        row[j] = kernel_eval(kernel_, dataset_.row(i), dataset_.row(j));
-        ++evals_;
+      for (std::size_t scanned = 0; scanned < columns_.size(); ++scanned) {
+        hand_ = (hand_ + 1) % columns_.size();
+        if (alpha[owners_[hand_]] == 0.0) {
+          slot = hand_;
+          break;
+        }
       }
+      if (slot == columns_.size()) return;
+      dense_[owners_[slot]] = nullptr;
+      std::fill(columns_[slot].begin(), columns_[slot].end(),
+                std::bit_cast<double>(kUnknownBits));
+      owners_[slot] = k;
     }
-    index_[i] = lru_.begin();
-    resident_[i] = &row;
-    return row;
+    double* col = columns_[slot].data();
+    dense_[k] = col;
+    for (const auto& [m, value] : sparse_[k]) col[m] = value;
+    std::vector<std::pair<std::size_t, double>>().swap(sparse_[k]);
   }
 
  private:
-  using RowList = std::list<std::pair<std::size_t, std::vector<double>>>;
+  double fill(std::size_t i, std::size_t j, bool pair_step) {
+    double* const col_i = dense_[i];
+    double* const col_j = dense_[j];
+    double value;
+    if (i == j) {
+      value = diag_[i];
+    } else if (col_i != nullptr && known(col_i[j])) {
+      value = col_i[j];
+    } else {
+      // Only pair steps fill the sparse lists, so they stay bounded by the
+      // iteration count even when the budget leaves active samples without
+      // a column.
+      const bool sparse = pair_step && col_i == nullptr && col_j == nullptr;
+      if (sparse) {
+        for (const auto& [m, v] : sparse_[i]) {
+          if (m == j) return v;
+        }
+      }
+      value = kernel_eval(kernel_, dataset_.row(i), dataset_.row(j));
+      ++evals_;
+      if (sparse) {
+        sparse_[i].emplace_back(j, value);
+        sparse_[j].emplace_back(i, value);
+        return value;
+      }
+    }
+    if (col_j != nullptr) {
+      col_j[i] = value;
+    } else if (col_i != nullptr) {
+      col_i[j] = value;
+    }
+    return value;
+  }
+
   const Dataset& dataset_;
   const KernelConfig& kernel_;
   std::uint64_t& evals_;
-  std::size_t capacity_ = 2;
+  std::size_t capacity_;  // dense columns
   std::vector<double> diag_;
-  std::vector<const std::vector<double>*> resident_;  // null when not cached
-  RowList lru_;
-  std::unordered_map<std::size_t, RowList::iterator> index_;
+  std::vector<double*> dense_;  // sample -> its column, null when none
+  std::vector<std::vector<std::pair<std::size_t, double>>> sparse_;
+  std::vector<std::vector<double>> columns_;
+  std::vector<std::size_t> owners_;  // column -> sample
+  std::size_t hand_ = 0;             // eviction scan position
 };
 
 }  // namespace
@@ -175,6 +239,16 @@ double kernel_eval(const KernelConfig& kernel, std::span<const double> a,
 }
 
 void SvmClassifier::train(const Dataset& dataset) {
+  train(dataset, kKernelStoreBytes);
+}
+
+void detail::train_with_kernel_budget(SvmClassifier& model,
+                                      const Dataset& dataset,
+                                      std::size_t budget_bytes) {
+  model.train(dataset, budget_bytes);
+}
+
+void SvmClassifier::train(const Dataset& dataset, std::size_t kernel_budget) {
   const std::size_t n = dataset.size();
   kernel_evals_ = 0;
   if (n == 0) throw InvalidArgument("SVM needs at least one sample");
@@ -189,23 +263,36 @@ void SvmClassifier::train(const Dataset& dataset) {
   }
   if (n < 2) throw InvalidArgument("SVM needs at least two samples");
 
-  QRowCache cache(dataset, config_.kernel, kernel_evals_);
+  KernelStore store(dataset, config_.kernel, kernel_budget, kernel_evals_);
   const auto y = [&](std::size_t i) {
     return static_cast<double>(dataset.label(i));
   };
 
   std::vector<double> alpha(n, 0.0);
+  std::vector<std::size_t> active;  // ascending; exactly the alpha != 0
+  // Call after alpha_k changed from `old_alpha`.
+  const auto update_active = [&](std::size_t k, double old_alpha) {
+    const bool was_active = old_alpha != 0.0;
+    if (was_active == (alpha[k] != 0.0)) return;
+    const auto at = std::lower_bound(active.begin(), active.end(), k);
+    if (was_active) {
+      active.erase(at);
+    } else {
+      active.insert(at, k);
+      store.activate(k, alpha);
+    }
+  };
   double b = 0.0;
   const double c = config_.c;
   const double tol = config_.tolerance;
   util::Rng rng(config_.seed);
 
-  // f consumes a whole Q-row; k_i[j] == K(x_i, x_j) by symmetry.
-  auto f = [&](const std::vector<double>& k_i) {
+  // Sums the nonzero-alpha terms in ascending index order: the same terms in
+  // the same order as a sum over all j that skips alpha_j == 0, so the
+  // result does not depend on how the kernel values are stored.
+  const auto f = [&](std::size_t i) {
     double sum = b;
-    for (std::size_t j = 0; j < n; ++j) {
-      if (alpha[j] != 0.0) sum += alpha[j] * y(j) * k_i[j];
-    }
+    for (const std::size_t k : active) sum += alpha[k] * y(k) * store.at(i, k);
     return sum;
   };
 
@@ -215,16 +302,13 @@ void SvmClassifier::train(const Dataset& dataset) {
     int changed = 0;
     for (std::size_t i = 0; i < n && iterations < config_.max_iterations; ++i) {
       ++iterations;
-      const double ei = f(cache.row(i)) - y(i);
+      const double ei = f(i) - y(i);
       const bool violates = (y(i) * ei < -tol && alpha[i] < c) ||
                             (y(i) * ei > tol && alpha[i] > 0);
       if (!violates) continue;
       std::size_t j = static_cast<std::size_t>(rng.below(n - 1));
       if (j >= i) ++j;
-      // Fetch row j first, then re-reference row i: the two most recent
-      // rows are guaranteed resident together (cache capacity >= 2).
-      const double ej = f(cache.row(j)) - y(j);
-      const std::vector<double>& k_i = cache.row(i);
+      const double ej = f(j) - y(j);
       const double ai_old = alpha[i];
       const double aj_old = alpha[j];
       double lo;
@@ -237,8 +321,8 @@ void SvmClassifier::train(const Dataset& dataset) {
         hi = std::min(c, ai_old + aj_old);
       }
       if (lo >= hi) continue;
-      const double k_ij = k_i[j];
-      const double eta = 2.0 * k_ij - cache.diag(i) - cache.diag(j);
+      const double k_ij = store.pair(i, j);
+      const double eta = 2.0 * k_ij - store.diag(i) - store.diag(j);
       if (eta >= 0) continue;
       double aj = aj_old - y(j) * (ei - ej) / eta;
       aj = std::clamp(aj, lo, hi);
@@ -246,10 +330,12 @@ void SvmClassifier::train(const Dataset& dataset) {
       const double ai = ai_old + y(i) * y(j) * (aj_old - aj);
       alpha[i] = ai;
       alpha[j] = aj;
-      const double b1 = b - ei - y(i) * (ai - ai_old) * cache.diag(i) -
+      update_active(i, ai_old);
+      update_active(j, aj_old);
+      const double b1 = b - ei - y(i) * (ai - ai_old) * store.diag(i) -
                         y(j) * (aj - aj_old) * k_ij;
       const double b2 = b - ej - y(i) * (ai - ai_old) * k_ij -
-                        y(j) * (aj - aj_old) * cache.diag(j);
+                        y(j) * (aj - aj_old) * store.diag(j);
       if (ai > 0 && ai < c) {
         b = b1;
       } else if (aj > 0 && aj < c) {
@@ -278,7 +364,7 @@ void SvmClassifier::train(const Dataset& dataset) {
 }
 
 double SvmClassifier::decision_value(std::span<const double> x) const {
-  if (!trained() && support_x_.empty()) {
+  if (support_x_.empty()) {
     return bias_;  // degenerate majority model
   }
   double sum = bias_;

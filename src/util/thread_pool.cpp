@@ -1,6 +1,8 @@
 #include "util/thread_pool.h"
 
 #include <algorithm>
+#include <atomic>
+#include <exception>
 
 namespace ssresf::util {
 
@@ -49,6 +51,38 @@ void ThreadPool::worker_loop() {
 int ThreadPool::hardware_threads() {
   const unsigned n = std::thread::hardware_concurrency();
   return n == 0 ? 1 : static_cast<int>(n);
+}
+
+void parallel_for(std::size_t count, int threads,
+                  const std::function<void(std::size_t)>& body) {
+  const std::size_t workers =
+      std::min(static_cast<std::size_t>(std::max(threads, 1)), count);
+  if (workers <= 1) {
+    for (std::size_t i = 0; i < count; ++i) body(i);
+    return;
+  }
+  std::vector<std::exception_ptr> errors(count);
+  std::atomic<std::size_t> next{0};
+  {
+    ThreadPool pool(static_cast<int>(workers));
+    std::vector<std::future<void>> done;
+    done.reserve(workers);
+    for (std::size_t w = 0; w < workers; ++w) {
+      done.push_back(pool.submit([&] {
+        for (std::size_t i; (i = next.fetch_add(1)) < count;) {
+          try {
+            body(i);
+          } catch (...) {
+            errors[i] = std::current_exception();
+          }
+        }
+      }));
+    }
+    for (std::future<void>& d : done) d.get();
+  }
+  for (const std::exception_ptr& error : errors) {
+    if (error) std::rethrow_exception(error);
+  }
 }
 
 }  // namespace ssresf::util

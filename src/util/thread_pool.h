@@ -1,6 +1,7 @@
 #pragma once
 
 #include <condition_variable>
+#include <cstddef>
 #include <deque>
 #include <functional>
 #include <future>
@@ -41,5 +42,13 @@ class ThreadPool {
   std::vector<std::thread> workers_;
   bool stopping_ = false;
 };
+
+/// Calls body(0) .. body(count - 1), on min(threads, count) pool workers
+/// that claim indices in ascending order (inline when that is one). Either
+/// way the caller sees the exception of the lowest failing index, as from a
+/// sequential loop; on the pool, the other indices still run first.
+/// Bodies must not write shared state other than their own index's slot.
+void parallel_for(std::size_t count, int threads,
+                  const std::function<void(std::size_t)>& body);
 
 }  // namespace ssresf::util

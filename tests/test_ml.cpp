@@ -1,13 +1,22 @@
 // ML library tests: dataset handling, scalers, kernels, SMO SVM training on
-// separable and XOR data, metrics math, ROC properties, cross-validation,
-// grid search, and feature selection.
+// separable and XOR data, the SMO against its row-cache reference, metrics
+// math, ROC properties, cross-validation, grid search, feature selection,
+// and thread-count invariance of the parallel CV paths.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <string>
+#include <tuple>
+#include <utility>
+#include <vector>
 
 #include "ml/cross_validation.h"
 #include "ml/feature_selection.h"
+#include "util/bytes.h"
 #include "util/error.h"
+
+#include "svm_reference.h"
 
 namespace ssresf::ml {
 namespace {
@@ -197,6 +206,104 @@ TEST(Svm, SingleClassTrainsConstantClassifier) {
   EXPECT_THROW(empty_model.train(empty), InvalidArgument);
 }
 
+/// `n` rows of `features` uniform [0, 1) values; roughly `positive_share` of
+/// the labels are +1, and both classes always occur.
+Dataset random_dataset(std::uint64_t seed, int n, int features,
+                       double positive_share) {
+  util::Rng rng(seed);
+  Dataset d;
+  for (int i = 0; i < n; ++i) {
+    std::vector<double> row;
+    for (int f = 0; f < features; ++f) row.push_back(rng.uniform());
+    const int label =
+        i == 0 ? 1 : (i == 1 ? -1 : (rng.chance(positive_share) ? 1 : -1));
+    d.add(std::move(row), label);
+  }
+  return d;
+}
+
+/// Datasets for the reference comparison: seeded random ones of several
+/// shapes, n = 2, one feature, duplicated rows (some with both labels) and
+/// heavy class imbalance.
+std::vector<std::pair<std::string, Dataset>> reference_datasets() {
+  std::vector<std::pair<std::string, Dataset>> out;
+  for (const std::uint64_t seed : {1, 2, 3}) {
+    out.emplace_back("random-" + std::to_string(seed),
+                     random_dataset(seed, 60 + 20 * static_cast<int>(seed),
+                                    4, 0.4));
+  }
+  Dataset pair;
+  pair.add({0.2, 0.7}, 1);
+  pair.add({0.9, 0.1}, -1);
+  out.emplace_back("n=2", pair);
+  Dataset twins;
+  twins.add({0.5, 0.5}, 1);
+  twins.add({0.5, 0.5}, -1);
+  out.emplace_back("n=2-duplicates", twins);
+  out.emplace_back("one-feature", random_dataset(4, 50, 1, 0.5));
+  Dataset duplicates = random_dataset(5, 40, 3, 0.5);
+  for (std::size_t i = 0; i < 20; ++i) {
+    const std::vector<double> row(duplicates.row(i).begin(),
+                                  duplicates.row(i).end());
+    duplicates.add(row, i % 3 == 0 ? -duplicates.label(i) : duplicates.label(i));
+  }
+  out.emplace_back("duplicates", duplicates);
+  out.emplace_back("imbalanced", random_dataset(6, 150, 3, 0.03));
+  return out;
+}
+
+std::vector<std::uint8_t> encoded(const SvmClassifier& model) {
+  util::ByteWriter w;
+  model.encode(w);
+  return w.data();
+}
+
+TEST(SvmReference, ModelsMatchTheRowCacheSolverByteForByte) {
+  for (const auto& [name, data] : reference_datasets()) {
+    for (const KernelType kernel :
+         {KernelType::kLinear, KernelType::kRbf, KernelType::kPoly}) {
+      for (const double c : {0.5, 8.0}) {
+        SvmConfig config;
+        config.kernel.type = kernel;
+        config.c = c;
+        const testing_support::ReferenceSvm want =
+            testing_support::reference_svm_train(config, data);
+        SvmClassifier model(config);
+        model.train(data);
+        const std::string where = name + " kernel " +
+                                  std::to_string(static_cast<int>(kernel)) +
+                                  " C " + std::to_string(c);
+        EXPECT_EQ(encoded(model), want.encoded) << where;
+        EXPECT_LE(model.kernel_evals(), want.kernel_evals) << where;
+      }
+    }
+  }
+}
+
+TEST(SvmReference, KernelStoreEvictionKeepsModelsIdentical) {
+  // Budgets of zero, one and a few columns: the store evicts the columns of
+  // zero-alpha samples, or keeps none, and evaluates the rest afresh.
+  const Dataset data = random_dataset(7, 120, 3, 0.4);
+  for (const KernelType kernel : {KernelType::kRbf, KernelType::kPoly}) {
+    SvmConfig config;
+    config.kernel.type = kernel;
+    config.c = 0.5;
+    const testing_support::ReferenceSvm want =
+        testing_support::reference_svm_train(config, data);
+    SvmClassifier full(config);
+    full.train(data);
+    ASSERT_EQ(encoded(full), want.encoded);
+    for (const std::size_t columns : {0, 1, 4}) {
+      SvmClassifier model(config);
+      detail::train_with_kernel_budget(model, data,
+                                       columns * data.size() * sizeof(double));
+      EXPECT_EQ(encoded(model), want.encoded) << columns << " columns";
+      EXPECT_GT(model.kernel_evals(), full.kernel_evals())
+          << columns << " columns: the budget should force re-evaluation";
+    }
+  }
+}
+
 TEST(Metrics, ConfusionMathAndF1) {
   ConfusionMatrix cm;
   // 8 TP, 2 FN, 85 TN, 5 FP.
@@ -295,6 +402,71 @@ TEST(FeatureSelection, FisherRanksDiscriminativeFirst) {
   // The single informative feature should already reach peak accuracy.
   EXPECT_LE(sel.best_count, 2);
   EXPECT_GE(sel.cv_score_by_count[0], 0.9);
+}
+
+template <class T>
+bool same_bytes(const std::vector<T>& a, const std::vector<T>& b) {
+  return a.size() == b.size() &&
+         (a.empty() || std::memcmp(a.data(), b.data(), a.size() * sizeof(T)) == 0);
+}
+
+bool same_cv(const CvResult& a, const CvResult& b) {
+  return same_bytes(a.fold_accuracies, b.fold_accuracies) &&
+         a.aggregate.tp == b.aggregate.tp && a.aggregate.tn == b.aggregate.tn &&
+         a.aggregate.fp == b.aggregate.fp && a.aggregate.fn == b.aggregate.fn &&
+         std::memcmp(&a.mean_accuracy, &b.mean_accuracy, sizeof(double)) == 0 &&
+         std::memcmp(&a.stddev_accuracy, &b.stddev_accuracy, sizeof(double)) ==
+             0 &&
+         same_bytes(a.decision_values, b.decision_values) &&
+         same_bytes(a.labels, b.labels);
+}
+
+TEST(ParallelCv, ResultsAreIdenticalForEveryThreadCount) {
+  const Dataset d = random_dataset(21, 160, 4, 0.35);
+  SvmConfig config;
+  config.c = 2.0;
+  const double cs[] = {0.5, 2.0, 8.0};
+  const double gammas[] = {0.2, 1.0};
+  const auto run = [&](int threads) {
+    util::Rng rng(5);
+    CvResult cv = cross_validate(d, config, 4, rng, threads);
+    GridSearchResult grid = grid_search(d, config, cs, gammas, 4, rng, threads);
+    FeatureSelectionResult selection = select_features(d, config, 4, rng, threads);
+    return std::make_tuple(std::move(cv), std::move(grid), std::move(selection),
+                           rng.next());
+  };
+  const auto [cv1, grid1, sel1, rng1] = run(1);
+  for (const int threads : {2, 3, 8}) {
+    const auto [cv, grid, sel, rng_after] = run(threads);
+    EXPECT_TRUE(same_cv(cv, cv1)) << threads << " threads";
+    ASSERT_EQ(grid.grid.size(), grid1.grid.size());
+    for (std::size_t p = 0; p < grid.grid.size(); ++p) {
+      EXPECT_EQ(std::memcmp(&grid.grid[p], &grid1.grid[p], sizeof(GridPoint)), 0)
+          << threads << " threads, grid point " << p;
+    }
+    EXPECT_TRUE(grid.best == grid1.best) << threads << " threads";
+    EXPECT_EQ(std::memcmp(&grid.best_score, &grid1.best_score, sizeof(double)),
+              0);
+    EXPECT_EQ(sel.ranked, sel1.ranked);
+    EXPECT_TRUE(same_bytes(sel.cv_score_by_count, sel1.cv_score_by_count))
+        << threads << " threads";
+    EXPECT_EQ(sel.best_count, sel1.best_count);
+    // Every fork happened in sequential order: the caller's stream is left
+    // where a sequential run leaves it.
+    EXPECT_EQ(rng_after, rng1);
+  }
+}
+
+TEST(ParallelCv, SingleClassDatasetFallsBackToMajorityAtAnyThreadCount) {
+  Dataset single({"x"});
+  for (int i = 0; i < 12; ++i) single.add({static_cast<double>(i)}, -1);
+  SvmConfig config;
+  for (const int threads : {1, 4}) {
+    util::Rng rng(1);
+    const CvResult cv = cross_validate(single, config, 3, rng, threads);
+    EXPECT_EQ(cv.mean_accuracy, 1.0);
+    EXPECT_EQ(cv.decision_values.size(), single.size());
+  }
 }
 
 }  // namespace

@@ -1,13 +1,17 @@
-// Reference digests: FNV-1a fingerprints of simulation results that no
-// engine optimization may move. The golden halt-run trace of every shipped
+// Reference digests: FNV-1a fingerprints of simulation and ML results that
+// no optimization may move. The golden halt-run trace of every shipped
 // scenario is pinned on the scalar levelized engine and on the bit-parallel
 // engine's golden lane, and the canonical records CSV of both CI campaigns
 // is pinned byte for byte. Cross-engine equivalence tests compare engines
 // with each other; these compare each engine with a fixed reference, so a
-// change that moves every engine the same way still fails here.
+// change that moves every engine the same way still fails here. The ML
+// stages are pinned the same way: the .ssds dataset, the .ssmd model bundle
+// and the predictions CSV of scenarios that cover plain cross-validation,
+// grid search and Fisher feature selection.
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <iterator>
 #include <string>
@@ -81,14 +85,20 @@ TEST(ReferenceDigests, ShippedScenarioGoldenTraces) {
   }
 }
 
-std::uint64_t records_csv_digest(const std::vector<fi::InjectionRecord>& records) {
-  const std::string path = testing::TempDir() + "/ssresf_reference_records.csv";
-  fi::write_records_csv(path, records);
+std::uint64_t file_digest(const std::string& path) {
   std::ifstream in(path, std::ios::binary);
   const std::vector<std::uint8_t> bytes{std::istreambuf_iterator<char>(in),
                                         std::istreambuf_iterator<char>()};
-  std::remove(path.c_str());
+  EXPECT_FALSE(bytes.empty()) << path;
   return util::fnv1a(bytes);
+}
+
+std::uint64_t records_csv_digest(const std::vector<fi::InjectionRecord>& records) {
+  const std::string path = testing::TempDir() + "/ssresf_reference_records.csv";
+  fi::write_records_csv(path, records);
+  const std::uint64_t digest = file_digest(path);
+  std::remove(path.c_str());
+  return digest;
 }
 
 TEST(ReferenceDigests, CiCampaignRecords) {
@@ -102,6 +112,45 @@ TEST(ReferenceDigests, CiCampaignRecords) {
     const fi::CampaignResult& result = session.simulate();
     EXPECT_EQ(hex(records_csv_digest(result.records)), hex(digest)) << file;
   }
+}
+
+TEST(ReferenceDigests, MlArtifactsAndPredictions) {
+  // Digests of the dataset artifact, the model bundle and the predictions
+  // CSV. ci-campaign{,-bp} run plain cross-validation, fibonacci a
+  // (C, gamma) grid search, benchmark-light Fisher feature selection.
+  struct Reference {
+    const char* file;
+    std::uint64_t ssds;
+    std::uint64_t ssmd;
+    std::uint64_t predictions;
+  };
+  const Reference references[] = {
+      {"tests/scenarios/ci-campaign.yaml", 0x5fb17482c0f37e00ull,
+       0xd3fd8a52323073a5ull, 0x28c852b88de5cec5ull},
+      {"tests/scenarios/ci-campaign-bp.yaml", 0xab4fe8d971c797d5ull,
+       0x65672eae744037cdull, 0x28c852b88de5cec5ull},
+      {"examples/scenarios/fibonacci.yaml", 0x48d0b79d6674b65dull,
+       0x9c336bb293e9a19full, 0xfd1c341f607b08d2ull},
+      {"examples/scenarios/benchmark-light.yaml", 0x65f67a73a0f48b94ull,
+       0xf8990088fcc20a4dull, 0xfef8acab5fa9340dull},
+  };
+  const auto db = radiation::SoftErrorDatabase::default_database();
+  const std::string dir = testing::TempDir() + "/ssresf_reference_ml";
+  for (const Reference& ref : references) {
+    std::filesystem::remove_all(dir);
+    core::SessionOptions options;
+    options.artifact_dir = dir;
+    core::Session session(core::ScenarioSpec::load_file(source_path(ref.file)),
+                          db, options);
+    const std::string csv = dir + "/predictions.csv";
+    core::write_predictions_csv(csv, session.model(), session.predict());
+    EXPECT_EQ(hex(file_digest(session.dataset_path())), hex(ref.ssds))
+        << ref.file;
+    EXPECT_EQ(hex(file_digest(session.model_path())), hex(ref.ssmd))
+        << ref.file;
+    EXPECT_EQ(hex(file_digest(csv)), hex(ref.predictions)) << ref.file;
+  }
+  std::filesystem::remove_all(dir);
 }
 
 }  // namespace

@@ -9,9 +9,11 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <memory>
 #include <mutex>
 #include <set>
+#include <string>
 #include <vector>
 
 #include "core/model_io.h"
@@ -455,6 +457,43 @@ TEST(Session, FeatureSelectionMaskIsPersistedAndApplied) {
                          with_dir(tmp.path()));
   EXPECT_EQ(reloaded.train().selected_features, bundle.selected_features);
   EXPECT_EQ(reloaded.predict().labels, before.labels);
+}
+
+std::vector<char> file_bytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return {std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()};
+}
+
+TEST(Session, MlArtifactsAreIndependentOfThreadCount) {
+  // Feature selection, grid search, cross-validation and predict all run on
+  // the session's thread count; none of their outputs may depend on it.
+  core::ScenarioSpec spec = small_scenario(97);
+  spec.feature_selection = true;
+  spec.run_grid_search = true;
+  spec.grid_c = {0.5, 4};
+  spec.grid_gamma = {0.2, 1};
+  std::vector<char> ssmd;
+  std::vector<int> labels;
+  core::PipelineResult first;
+  for (const int threads : {1, 4}) {
+    TempDir tmp("threads" + std::to_string(threads));
+    core::SessionOptions options = with_dir(tmp.path());
+    options.threads = threads;
+    core::Session session(spec, database(), options);
+    const core::PipelineResult result = session.run_all();
+    const std::vector<char> bytes = file_bytes(session.model_path());
+    ASSERT_FALSE(bytes.empty());
+    if (threads == 1) {
+      ssmd = bytes;
+      labels = session.predict().labels;
+      first = result;
+      continue;
+    }
+    EXPECT_EQ(bytes, ssmd) << threads << " threads";
+    EXPECT_EQ(session.predict().labels, labels) << threads << " threads";
+    EXPECT_EQ(result.predicted_class_percent, first.predicted_class_percent);
+    EXPECT_EQ(result.cv.decision_values, first.cv.decision_values);
+  }
 }
 
 TEST(Session, ProgressReportsEveryStage) {

@@ -1,14 +1,20 @@
-// Unit tests for the util library: strings, rng, csv, table, yaml-lite.
+// Unit tests for the util library: strings, rng, parallel_for, csv, table,
+// yaml-lite.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <set>
 #include <sstream>
+#include <stdexcept>
+#include <string>
+#include <vector>
 
 #include "util/csv.h"
 #include "util/error.h"
 #include "util/rng.h"
 #include "util/strings.h"
 #include "util/table.h"
+#include "util/thread_pool.h"
 #include "util/yaml_lite.h"
 
 namespace ssresf::util {
@@ -112,6 +118,28 @@ TEST(Rng, ShuffleIsPermutation) {
   shuffle(w, rng);
   std::sort(w.begin(), w.end());
   EXPECT_EQ(w, v);
+}
+
+TEST(ParallelFor, RunsEveryIndexOnceAndRethrowsTheLowestFailure) {
+  for (const int threads : {1, 3, 8}) {
+    std::vector<int> hits(100, 0);
+    parallel_for(hits.size(), threads, [&](std::size_t i) { ++hits[i]; });
+    EXPECT_EQ(hits, std::vector<int>(100, 1)) << threads << " threads";
+
+    std::atomic<int> ran{0};
+    try {
+      parallel_for(50, threads, [&](std::size_t i) {
+        ++ran;
+        if (i == 17 || i == 40) throw std::runtime_error(std::to_string(i));
+      });
+      ADD_FAILURE() << "no exception at " << threads << " threads";
+    } catch (const std::runtime_error& e) {
+      EXPECT_STREQ(e.what(), "17") << threads << " threads";
+    }
+    // Inline, the loop stops at the first failure, as a plain loop would.
+    EXPECT_EQ(ran.load(), threads == 1 ? 18 : 50) << threads << " threads";
+  }
+  parallel_for(0, 4, [](std::size_t) { ADD_FAILURE() << "no indices"; });
 }
 
 TEST(Csv, EscapesSpecialCharacters) {

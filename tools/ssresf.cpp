@@ -123,7 +123,8 @@ void usage(std::FILE* out) {
       "  --no-resume         recompute stages even when artifacts exist\n"
       "  --progress          live stage progress on stderr (serve and\n"
       "                      worker: also the fleet event log)\n"
-      "  --threads N         simulation threads per process (default 1)\n"
+      "  --threads N         simulation and ML-stage threads per process\n"
+      "                      (default 1)\n"
       "  --lanes N           bit-parallel lane width: 64 or 256 (default:\n"
       "                      scenario value; 256 uses AVX2 when available;\n"
       "                      records are byte-identical at every width)\n"
