@@ -54,15 +54,25 @@ void check_record_format(int record_format) {
 
 void write_predictions_csv(const std::string& path, const soc::SocModel& model,
                            const SessionPrediction& prediction) {
+  // Netlist::cell_path rebuilds the whole scope chain per call; build each
+  // scope's path once and append the cell name (the same bytes).
+  const netlist::Netlist& nl = model.netlist;
+  std::vector<std::string> scope_paths(nl.num_scopes());
+  for (std::size_t s = 0; s < scope_paths.size(); ++s) {
+    scope_paths[s] =
+        nl.scope_path(netlist::ScopeId{static_cast<std::uint32_t>(s)});
+  }
   util::write_csv_file(path, [&](std::FILE* f) {
     std::fputs("cell,path,module_class,prediction\n", f);
     for (std::size_t i = 0; i < prediction.cells.size(); ++i) {
       const CellId id = prediction.cells[i];
-      std::fprintf(
-          f, "%u,%s,%s,%d\n", id.index(), model.netlist.cell_path(id).c_str(),
-          std::string(netlist::module_class_name(model.netlist.cell_class(id)))
-              .c_str(),
-          prediction.labels[i]);
+      const netlist::Cell& cell = nl.cell(id);
+      const std::string_view mclass =
+          netlist::module_class_name(nl.cell_class(id));
+      std::fprintf(f, "%u,%s/%s,%.*s,%d\n", id.index(),
+                   scope_paths[cell.scope.index()].c_str(), cell.name.c_str(),
+                   static_cast<int>(mclass.size()), mclass.data(),
+                   prediction.labels[i]);
     }
   });
 }

@@ -6,6 +6,7 @@
 #include <bit>
 #include <cstdio>
 #include <future>
+#include <limits>
 #include <numeric>
 #include <optional>
 #include <type_traits>
@@ -119,29 +120,110 @@ CampaignPrep prepare_campaign(const soc::SocModel& model,
 
   CampaignPrep prep;
   prep.clock_period_ps = soc::pick_clock_period(model.netlist);
+  const std::uint64_t period = prep.clock_period_ps;
+  prep.tb_config.clk = model.clk;
+  prep.tb_config.rstn = model.rstn;
+  prep.tb_config.monitored = model.monitored;
+  prep.tb_config.clock_period_ps = period;
+  const int reset_cycles = prep.tb_config.reset_cycles;
+  // Inject after reset has settled and early enough to observe propagation.
+  prep.t0 = 5 * period;
+  const auto resolve_run_length = [&](int run_cycles) {
+    prep.run_cycles = run_cycles;
+    prep.window_ps = static_cast<std::uint64_t>(run_cycles) * period;
+    prep.t1 = prep.window_ps * 3 / 4;
+    // Every faulty timeline spans reset + run_cycles, like the golden trace.
+    prep.total_cycles = reset_cycles + run_cycles;
+  };
+  const bool find_halt = config.run_cycles == 0;
+  if (!find_halt) resolve_run_length(config.run_cycles);
 
+  // --- one golden pass ----------------------------------------------------------
   // The bit-parallel engine shares the levelized zero-delay timing model, so
-  // all golden (fault-free) work — the reference run, the replay, and the
-  // checkpoint ladder — runs on the scalar levelized engine: identical
-  // trajectory at a fraction of the cost, and scalar snapshots are 64x
-  // smaller than packed ones. Word batches broadcast a scalar checkpoint
-  // into all lanes via BitParallelSimulator::adopt_golden.
-  const sim::EngineKind golden_kind = golden_engine_kind(config);
+  // all golden (fault-free) work — halt search, trace and checkpoint ladder —
+  // runs on the scalar levelized engine: identical trajectory at a fraction
+  // of the cost, and scalar snapshots are 64x smaller than packed ones. Word
+  // batches broadcast a scalar checkpoint into all lanes via
+  // BitParallelSimulator::adopt_golden.
+  //
+  // One run from power-on does three jobs. It checks for the halt every 32
+  // post-reset cycles up to max_cycles; the run length is the halt cycle
+  // plus an 8-cycle margin (a fault may delay the halt). It snapshots the
+  // engine at every ladder rung, so a faulty run resumes from the last rung
+  // at or before its strike time instead of re-simulating from power-on —
+  // the restored state and the golden trace prefix are exactly what an
+  // uninterrupted run would have produced, so records are unchanged. And it
+  // runs on to total_cycles, which is the golden trace. Without execution
+  // it stops at the halt.
+  if (find_halt || for_execution) {
+    const sim::EngineKind golden_kind = golden_engine_kind(config);
+    const auto master = sim::make_engine(golden_kind, model.netlist);
+    sim::Testbench golden_tb(*master, prep.tb_config);
+    golden_tb.reset();
+    constexpr int kNever = std::numeric_limits<int>::max();
+    int done = reset_cycles;
+    int total = find_halt ? kNever : prep.total_cycles;
+    int next_check =
+        find_halt ? reset_cycles + std::min(32, config.max_cycles) : kNever;
 
-  // --- golden run -------------------------------------------------------------
-  soc::SocRunner golden(model, golden_kind, prep.clock_period_ps);
-  golden.reset();
-  int run_cycles = config.run_cycles;
-  if (run_cycles == 0) {
-    golden.run_until_halt(config.max_cycles);
-    if (!golden.halted()) {
-      SSRESF_WARN << "golden run did not halt within " << config.max_cycles
-                  << " cycles";
+    // Cycles fully simulated by t0 are fault-free in every run; that is the
+    // earliest (and in the single-checkpoint limit, the only) rung. Rungs
+    // follow every `stride` cycles. An explicit stride stays fixed; the auto
+    // ladder starts at stride 8 and, whenever it passes kMaxRungs, drops
+    // every other rung and doubles the stride.
+    constexpr std::size_t kMaxRungs = 64;
+    const int warm_cycles = static_cast<int>(std::min<std::uint64_t>(
+        prep.t0 / period, static_cast<std::uint64_t>(total)));
+    const bool doubling = config.checkpoint_stride_cycles <= 0;
+    int stride = doubling ? 8 : config.checkpoint_stride_cycles;
+    int next_rung = for_execution &&
+                            (config.use_checkpoint || config.masked_exit) &&
+                            warm_cycles >= reset_cycles
+                        ? warm_cycles
+                        : kNever;
+
+    for (;;) {
+      if (done >= next_check) {
+        const bool halted = master->value(model.monitored[0]) == Logic::L1;
+        if (halted || done - reset_cycles >= config.max_cycles) {
+          if (!halted) {
+            SSRESF_WARN << "golden run did not halt within "
+                        << config.max_cycles << " cycles";
+          }
+          resolve_run_length(done + 8);
+          total = prep.total_cycles;
+          next_check = kNever;
+          if (!for_execution) break;
+        } else {
+          next_check = reset_cycles +
+                       std::min(done - reset_cycles + 32, config.max_cycles);
+        }
+      }
+      if (done >= total) break;
+      if (done == next_rung) {
+        prep.ladder.push_back({done, master->save_state()});
+        if (doubling && prep.ladder.size() > kMaxRungs) {
+          std::size_t kept = 0;
+          for (std::size_t r = 0; r < prep.ladder.size(); r += 2) {
+            prep.ladder[kept++] = std::move(prep.ladder[r]);
+          }
+          prep.ladder.resize(kept);
+          stride *= 2;
+        }
+        next_rung = prep.ladder.back().cycle + stride;
+      }
+      const int target = std::min({next_check, next_rung, total});
+      golden_tb.run_cycles(target - done);
+      done = target;
     }
-    // Fixed total length for every faulty run (a fault may delay the halt).
-    run_cycles = static_cast<int>(golden.testbench().cycles_run()) + 8;
+    // Rungs past t1 are never restore targets (no injection is that late)
+    // but still serve masked_exit as reconvergence witnesses.
+    std::erase_if(prep.ladder, [&](const CampaignPrep::Rung& r) {
+      return !config.masked_exit &&
+             static_cast<std::uint64_t>(r.cycle) * period > prep.t1;
+    });
+    if (for_execution) prep.golden_trace = golden_tb.trace();
   }
-  prep.run_cycles = run_cycles;
 
   // --- clustering + sampling -----------------------------------------------------
   prep.clustering =
@@ -158,12 +240,6 @@ CampaignPrep prepare_campaign(const soc::SocModel& model,
                                sample_rng, prep.cell_xsects);
 
   // --- injection plan ---------------------------------------------------------
-  const std::uint64_t period = prep.clock_period_ps;
-  prep.window_ps = static_cast<std::uint64_t>(run_cycles) * period;
-  // Inject after reset has settled and early enough to observe propagation.
-  prep.t0 = 5 * period;
-  prep.t1 = prep.window_ps * 3 / 4;
-
   {
     std::size_t total = 0;
     for (const cluster::ClusterSample& cs : samples) total += cs.cells.size();
@@ -172,58 +248,6 @@ CampaignPrep prepare_campaign(const soc::SocModel& model,
   for (const cluster::ClusterSample& cs : samples) {
     for (const CellId cell : cs.cells) prep.plan.push_back({cs.cluster, cell});
   }
-
-  prep.tb_config.clk = model.clk;
-  prep.tb_config.rstn = model.rstn;
-  prep.tb_config.monitored = model.monitored;
-  prep.tb_config.clock_period_ps = period;
-  // Every faulty timeline spans reset + run_cycles, like the golden trace.
-  prep.total_cycles = prep.tb_config.reset_cycles + run_cycles;
-
-  if (!for_execution) return prep;
-
-  // Golden replay with a checkpoint ladder: simulate reset + workload once,
-  // snapshotting the engine every `stride` cycles across the injection
-  // window. A faulty run then resumes from the last checkpoint at or before
-  // its strike time instead of re-simulating from power-on — the restored
-  // state and the spliced golden trace prefix are exactly what an
-  // uninterrupted run would have produced, so results are unchanged.
-  // Cycles fully simulated by t0 are fault-free in every run; that is the
-  // earliest (and in the single-checkpoint limit, the only) rung.
-  const int warm_cycles = static_cast<int>(std::min<std::uint64_t>(
-      prep.t0 / period, static_cast<std::uint64_t>(prep.total_cycles)));
-  const int stride = config.checkpoint_stride_cycles > 0
-                         ? config.checkpoint_stride_cycles
-                         : std::max(8, prep.total_cycles / 32);
-  const auto master = sim::make_engine(golden_kind, model.netlist);
-  sim::Testbench golden_tb(*master, prep.tb_config);
-  golden_tb.reset();
-  int golden_done = prep.tb_config.reset_cycles;
-  const bool ladder_usable =
-      (config.use_checkpoint || config.masked_exit) &&
-      warm_cycles >= prep.tb_config.reset_cycles;
-  // Rungs past t1 are never restore targets (no injection is that late) but
-  // still serve masked_exit as reconvergence witnesses.
-  const auto maybe_snapshot = [&]() {
-    const std::uint64_t cycle_start_ps =
-        static_cast<std::uint64_t>(golden_done) * period;
-    if (ladder_usable && golden_done < prep.total_cycles &&
-        (config.masked_exit || cycle_start_ps <= prep.t1)) {
-      prep.ladder.push_back({golden_done, master->save_state()});
-    }
-  };
-  if (warm_cycles > golden_done) {
-    golden_tb.run_cycles(warm_cycles - golden_done);
-    golden_done = warm_cycles;
-  }
-  maybe_snapshot();
-  while (golden_done < prep.total_cycles) {
-    const int step = std::min(stride, prep.total_cycles - golden_done);
-    golden_tb.run_cycles(step);
-    golden_done += step;
-    maybe_snapshot();
-  }
-  prep.golden_trace = golden_tb.trace();
   return prep;
 }
 

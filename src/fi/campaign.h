@@ -49,10 +49,12 @@ struct CampaignConfig {
   /// futures provably coincide, so healed SEUs and electrically masked SETs
   /// need not simulate to the end of the workload.
   bool masked_exit = true;
-  /// Spacing of the golden checkpoint ladder: the golden replay snapshots the
+  /// Spacing of the golden checkpoint ladder: the golden pass snapshots the
   /// engine every this many cycles across the injection window, and each
   /// faulty run resumes from the last checkpoint before its strike time.
-  /// 0 picks a stride automatically from the run length.
+  /// 0 picks a doubling ladder: stride 8 from the warm cycle; whenever it
+  /// passes 64 rungs, every other rung is dropped and the stride doubles.
+  /// Ladder layout never changes records.
   int checkpoint_stride_cycles = 0;
   /// Execution-side progress hook: invoked after every completed injection
   /// with (done, total) over the subset this process executes. Like the

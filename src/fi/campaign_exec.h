@@ -12,9 +12,10 @@
 /// fi/shard.h. The split is the backbone of the distribution model:
 ///
 ///   prepare_campaign  — everything that must be identical in every
-///                       participant: golden run, clustering, sampling, the
-///                       flattened injection plan, and (for executors) the
-///                       golden trace + checkpoint ladder. Pure function of
+///                       participant: golden run length, clustering,
+///                       sampling, the flattened injection plan, and (for
+///                       executors) the golden trace + checkpoint ladder,
+///                       all from one golden pass. Pure function of
 ///                       (model, config, database).
 ///   execute_injections — simulates an arbitrary subset of the plan, keyed
 ///                       by global injection index. Outcomes depend only on
@@ -69,9 +70,11 @@ struct CampaignPrep {
   std::vector<Rung> ladder;
 };
 
-/// Golden run, clustering, sampling, plan flattening. `for_execution=false`
-/// skips the golden replay and checkpoint ladder — sufficient for planning
-/// and for merging shard records, where no injection is simulated.
+/// One golden pass (halt search, then trace and checkpoint ladder), then
+/// clustering, sampling and the plan.
+/// `for_execution=false` stops the golden pass at the halt (and skips it
+/// when config.run_cycles is fixed): no trace, no ladder — sufficient for
+/// planning and for merging shard records, where no injection is simulated.
 [[nodiscard]] CampaignPrep prepare_campaign(
     const soc::SocModel& model, const CampaignConfig& config,
     const radiation::SoftErrorDatabase& database, bool for_execution);

@@ -12,10 +12,10 @@ namespace ssresf::fi {
 /// The shippable golden work of a campaign: everything prepare_campaign
 /// derives by simulating the fault-free SoC. A coordinator computes it once
 /// and ships it to every worker (socket transport) or writes it next to the
-/// shard files (process transport), so workers skip both golden passes — the
-/// halt-length run and the replay + snapshot pass — that PR 3 paid per
-/// shard. Checkpoints travel as sim/state_codec RLE frames, so the bundle is
-/// host-portable like the .ssfs shard files.
+/// shard files (process transport), so workers skip the golden pass — the
+/// halt search, trace recording and ladder snapshots — that each shard would
+/// otherwise simulate. Checkpoints travel as sim/state_codec RLE frames, so
+/// the bundle is host-portable like the .ssfs shard files.
 struct GoldenBundle {
   /// Resolved workload length: config.run_cycles when set, else the length
   /// the coordinator's golden run halted at (plus margin).

@@ -5,8 +5,12 @@
 // checkpointing, or early exit.
 #include <gtest/gtest.h>
 
+#include <numeric>
+
 #include "fi/campaign.h"
+#include "fi/campaign_exec.h"
 #include "netlist/builder.h"
+#include "prepare_reference.h"
 #include "sim/event_sim.h"
 #include "sim/levelized_sim.h"
 #include "sim/testbench.h"
@@ -310,6 +314,208 @@ TEST(CampaignDeterminism, FullFastPathVsFullSlowPath) {
   expect_identical(fi::run_campaign(model, fast, db),
                    fi::run_campaign(model, slow, db));
 }
+
+// --- one golden pass vs the two-pass reference --------------------------------
+
+soc::SocModel sort_soc() {
+  soc::SocConfig cfg;
+  cfg.mem_bytes = 4 * 1024;
+  cfg.cpu_isa = "RV32I";
+  cfg.bus = soc::BusProtocol::kAhb;
+  const soc::Program programs[] = {soc::assemble(soc::sort_workload().source)};
+  return soc::build_soc(cfg, programs);
+}
+
+std::vector<int> rung_cycles(const fi::detail::CampaignPrep& prep) {
+  std::vector<int> cycles;
+  for (const auto& rung : prep.ladder) cycles.push_back(rung.cycle);
+  return cycles;
+}
+
+/// Prepares `config` with the library's single pass and with the two-pass
+/// reference, and checks everything that reaches a record: run length,
+/// strike window, clustering, plan and golden trace equal; every rung a true
+/// golden snapshot of its cycle; records byte-identical. Returns both
+/// ladders' rung cycles (library first) for layout checks.
+std::pair<std::vector<int>, std::vector<int>> expect_one_pass_matches_reference(
+    const soc::SocModel& model, const fi::CampaignConfig& config) {
+  const auto db = radiation::SoftErrorDatabase::default_database();
+  const fi::detail::CampaignPrep ref =
+      testing_support::reference_prepare_campaign(model, config, db, true);
+  const fi::detail::CampaignPrep got =
+      fi::detail::prepare_campaign(model, config, db, true);
+
+  EXPECT_EQ(got.run_cycles, ref.run_cycles);
+  EXPECT_EQ(got.total_cycles, ref.total_cycles);
+  EXPECT_EQ(got.clock_period_ps, ref.clock_period_ps);
+  EXPECT_EQ(got.window_ps, ref.window_ps);
+  EXPECT_EQ(got.t0, ref.t0);
+  EXPECT_EQ(got.t1, ref.t1);
+  EXPECT_EQ(got.tb_config.monitored, ref.tb_config.monitored);
+  EXPECT_EQ(got.tb_config.reset_cycles, ref.tb_config.reset_cycles);
+  EXPECT_EQ(got.clustering.cluster_of, ref.clustering.cluster_of);
+  EXPECT_EQ(got.cell_xsects, ref.cell_xsects);
+  EXPECT_EQ(got.plan.size(), ref.plan.size());
+  for (std::size_t i = 0; i < std::min(got.plan.size(), ref.plan.size()); ++i) {
+    EXPECT_EQ(got.plan[i].cluster, ref.plan[i].cluster) << "plan entry " << i;
+    EXPECT_EQ(got.plan[i].cell, ref.plan[i].cell) << "plan entry " << i;
+  }
+  EXPECT_EQ(got.golden_trace.nets(), ref.golden_trace.nets());
+  EXPECT_EQ(got.golden_trace.num_cycles(),
+            static_cast<std::size_t>(ref.total_cycles));
+  EXPECT_EQ(OutputTrace::first_mismatch(got.golden_trace, ref.golden_trace),
+            std::nullopt);
+
+  // Rungs ascend inside the timeline, and each holds exactly the state the
+  // reference replay engine reaches at that cycle.
+  const auto replay = sim::make_engine(fi::detail::golden_engine_kind(config),
+                                       model.netlist);
+  Testbench replay_tb(*replay, ref.tb_config);
+  replay_tb.reset();
+  int prev = -1;
+  for (const auto& rung : got.ladder) {
+    EXPECT_GT(rung.cycle, prev);
+    EXPECT_GE(rung.cycle, ref.tb_config.reset_cycles);
+    EXPECT_LT(rung.cycle, got.total_cycles);
+    if (!config.masked_exit) {
+      EXPECT_LE(static_cast<std::uint64_t>(rung.cycle) * got.clock_period_ps,
+                got.t1);
+    }
+    prev = rung.cycle;
+    replay_tb.run_cycles(rung.cycle - static_cast<int>(replay_tb.cycles_run()));
+    EXPECT_TRUE(replay->state_matches(*rung.state)) << "rung " << rung.cycle;
+  }
+
+  std::vector<std::size_t> owned(ref.plan.size());
+  std::iota(owned.begin(), owned.end(), std::size_t{0});
+  std::vector<fi::InjectionRecord> ref_records(ref.plan.size());
+  std::vector<fi::InjectionRecord> got_records(ref.plan.size());
+  fi::detail::execute_injections(model, config, ref, owned, ref_records);
+  fi::detail::execute_injections(model, config, got, owned, got_records);
+  EXPECT_EQ(got_records, ref_records);
+
+  // The planning-only prep (the resume path) stops at the halt: same run
+  // length and plan, no trace, no ladder.
+  const fi::detail::CampaignPrep plan_only =
+      fi::detail::prepare_campaign(model, config, db, false);
+  EXPECT_EQ(plan_only.run_cycles, ref.run_cycles);
+  EXPECT_EQ(plan_only.t1, ref.t1);
+  EXPECT_EQ(plan_only.plan.size(), ref.plan.size());
+  EXPECT_EQ(plan_only.golden_trace.num_cycles(), 0u);
+  EXPECT_TRUE(plan_only.ladder.empty());
+  return {rung_cycles(got), rung_cycles(ref)};
+}
+
+class OnePassPrepare : public ::testing::TestWithParam<sim::EngineKind> {
+ protected:
+  fi::CampaignConfig config(std::uint64_t seed) const {
+    fi::CampaignConfig cfg = small_campaign(seed);
+    cfg.engine = GetParam();
+    // A dozen injections: enough to restore from rungs across the window.
+    cfg.sampling.min_per_cluster = 2;
+    cfg.sampling.max_per_cluster = 3;
+    cfg.sampling.memory_macro_draws = 2;
+    return cfg;
+  }
+};
+
+TEST_P(OnePassPrepare, AutoLengthKeepsShortRunLadder) {
+  const auto model = small_soc();
+  const auto cfg = config(51);
+  const auto [got, ref] = expect_one_pass_matches_reference(model, cfg);
+  // Under 288 cycles the auto stride was already 8: the same rungs.
+  const auto db = radiation::SoftErrorDatabase::default_database();
+  ASSERT_LT(fi::detail::prepare_campaign(model, cfg, db, false).total_cycles,
+            288);
+  EXPECT_FALSE(got.empty());
+  EXPECT_EQ(got, ref);
+}
+
+TEST_P(OnePassPrepare, FixedRunLengthMatchesReference) {
+  const auto model = small_soc();
+  auto cfg = config(53);
+  cfg.run_cycles = 150;
+  expect_one_pass_matches_reference(model, cfg);
+}
+
+TEST_P(OnePassPrepare, ExplicitStrideKeepsExactRungs) {
+  const auto model = small_soc();
+  auto cfg = config(57);
+  cfg.checkpoint_stride_cycles = 5;
+  const auto [got, ref] = expect_one_pass_matches_reference(model, cfg);
+  EXPECT_EQ(got, ref);
+  ASSERT_FALSE(got.empty());
+  for (std::size_t k = 0; k < got.size(); ++k) {
+    EXPECT_EQ(got[k], got.front() + static_cast<int>(k) * 5);
+  }
+}
+
+TEST_P(OnePassPrepare, MaskedExitOffStopsLadderAtT1) {
+  const auto model = small_soc();
+  auto cfg = config(59);
+  cfg.masked_exit = false;
+  const auto [got, ref] = expect_one_pass_matches_reference(model, cfg);
+  EXPECT_EQ(got, ref);
+}
+
+TEST_P(OnePassPrepare, CheckpointAndMaskedExitOffBuildNoLadder) {
+  const auto model = small_soc();
+  auto cfg = config(61);
+  cfg.use_checkpoint = false;
+  cfg.masked_exit = false;
+  const auto [got, ref] = expect_one_pass_matches_reference(model, cfg);
+  EXPECT_TRUE(got.empty());
+  EXPECT_TRUE(ref.empty());
+}
+
+TEST_P(OnePassPrepare, NoHaltWithinMaxCycles) {
+  const auto model = small_soc();
+  auto cfg = config(67);
+  cfg.max_cycles = 45;  // not a multiple of the 32-cycle halt check
+  const auto db = radiation::SoftErrorDatabase::default_database();
+  const auto prep = fi::detail::prepare_campaign(model, cfg, db, false);
+  EXPECT_EQ(prep.run_cycles, prep.tb_config.reset_cycles + 45 + 8);
+  expect_one_pass_matches_reference(model, cfg);
+}
+
+TEST_P(OnePassPrepare, LongRunThinsToDoublingLadder) {
+  const auto model = sort_soc();
+  auto cfg = config(71);
+  cfg.max_cycles = 2500;
+  const auto [got, ref] = expect_one_pass_matches_reference(model, cfg);
+  // Long enough that the old auto stride max(8, total/32) exceeded 8 ...
+  ASSERT_GE(ref.size(), 2u);
+  ASSERT_GT(ref[1] - ref[0], 8);
+  // ... so the doubling ladder thinned: uniform stride 8 * 2^k, k >= 1, at
+  // most 64 rungs, from the warm cycle on to the end of the timeline.
+  ASSERT_GE(got.size(), 2u);
+  EXPECT_LE(got.size(), 64u);
+  EXPECT_EQ(got.front(), ref.front());
+  const int stride = got[1] - got[0];
+  EXPECT_GT(stride, 8);
+  EXPECT_EQ(stride & (stride - 1), 0) << "stride " << stride;
+  for (std::size_t k = 1; k < got.size(); ++k) {
+    EXPECT_EQ(got[k] - got[k - 1], stride);
+  }
+  const auto db = radiation::SoftErrorDatabase::default_database();
+  const auto prep = fi::detail::prepare_campaign(model, cfg, db, false);
+  EXPECT_GE(got.back() + stride, prep.total_cycles);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Engines, OnePassPrepare,
+    ::testing::Values(sim::EngineKind::kLevelized, sim::EngineKind::kEvent,
+                      sim::EngineKind::kBitParallel),
+    [](const ::testing::TestParamInfo<sim::EngineKind>& info) {
+      switch (info.param) {
+        case sim::EngineKind::kLevelized:
+          return std::string("Levelized");
+        case sim::EngineKind::kEvent:
+          return std::string("Event");
+        default:
+          return std::string("BitParallel");
+      }
+    });
 
 TEST(ThreadPool, RunsJobsAndPropagatesExceptions) {
   util::ThreadPool pool(4);
